@@ -67,6 +67,11 @@ class NetworkConfig:
     load_model: LoadModel = LoadModel.MEAN_LOAD
 
     def __post_init__(self):
+        for name in (
+            "lambda_b", "lambda_u", "antennas", "bandwidth_mhz", "alpha", "noise_power", "tx_power"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_b <= 0.0:
             raise ConfigError(f"lambda_b must be positive, got {self.lambda_b}")
         if self.lambda_u <= 0.0:

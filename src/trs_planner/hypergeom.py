@@ -20,13 +20,33 @@ The connection formula itself loses accuracy for high coefficient order
 series is short relative to ``i`` and is used instead, keeping all paths
 accurate to ~1e-13 relative.  A plain large-budget series is the fallback
 for parameter combinations the connection formula cannot serve.
+
+Sized first block: a series is summed in numpy blocks of ``_BLOCK`` terms,
+but most stop after a few dozen.  The first block is therefore tried as a
+prefix of ``16 + 40/(1-w)`` terms (a series whose term ratio tends to ``w``
+falls below the stop tolerance after about ``37/(1-w)`` terms).  When the
+stop window lands inside that prefix the result is the one the full block
+gives, bit for bit, because the block is prefix-stable: each ratio is an
+elementwise IEEE operation, ``cumprod`` and ``cumsum`` run sequentially, the
+stop is the first window, and the summed slice has the same length and
+values.  When it does not, the prefix is discarded and the series is summed
+from the start in full blocks.
+
+Coefficient tables: :func:`coefficient_table` keeps, per ``(T, alpha)``, the
+longest prefix ``k_0 .. k_{n-1}`` computed so far and extends it on demand.
+The direct-series rows of a table (``i >= 1`` at ``w <= 0.99``) share one
+argument ``w`` and hence one prefix length, so their sized first blocks are
+evaluated together as one 2-D block, one row per order; every row repeats
+the scalar expressions, so its value carries the same bits as
+:func:`coeff_k`.  Rows whose series runs past the prefix, ``k_0``, and the
+near-unit rows are evaluated one by one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -37,6 +57,10 @@ NEAR_UNIT_W = 0.99
 _BLOCK = 4096
 _STOP_REL = 1e-16
 _CONSECUTIVE_SMALL = 3
+# elements per temporary of a batched first block (512 KB of float64)
+_BATCH_CELLS = 1 << 16
+# coefficients held by the table cache across all (threshold, alpha) pairs
+_TABLE_CACHE_COEFFS = 1 << 17
 
 
 class HypergeometricError(ArithmeticError):
@@ -50,6 +74,59 @@ class HypergeometricError(ArithmeticError):
         self.z = z
 
 
+def _block(a, b, c, w, n, m, term, total):
+    """Terms ``n .. n+m-1`` of the series and their below-tolerance flags.
+
+    ``term`` is the term before the block and ``total`` the partial sum so
+    far.  Scalars give one row; column arrays for ``a``, ``c``, ``term`` and
+    ``total`` give one row per series, each with the same arithmetic.
+    """
+    idx = np.arange(n, n + m, dtype=np.float64)
+    ratios = (a + idx) * (b + idx) / ((c + idx) * (idx + 1.0)) * w
+    terms = term * ratios.cumprod(axis=-1)
+    partials = total + terms.cumsum(axis=-1)
+    small = abs(terms) < _STOP_REL * np.maximum(abs(partials), 1e-300)
+    return terms, small
+
+
+def _compensated_add(total, comp, x):
+    """Neumaier step: add ``x`` to ``total``, carrying the rounding in ``comp``."""
+    t = total + x
+    if abs(total) >= abs(x):
+        comp += (total - t) + x
+    else:
+        comp += (x - t) + total
+    return t, comp
+
+
+def _head_terms(w, max_terms):
+    """Length of the sized first block at series argument ``w``."""
+    full = min(_BLOCK, max_terms)
+    if 1.0 - w <= 40.0 / full:
+        return full
+    return min(full, 16 + int(40.0 / (1.0 - w)))
+
+
+def _head_sums(a, b, c, w, scales, m):
+    """``_series`` results from an ``m``-term first block, one per row.
+
+    ``a``, ``c`` and ``scales`` are column arrays, one row per series.  A row
+    whose stop window does not fall inside the block gives None.
+    """
+    terms, small = _block(a, b, c, w, 0, m, scales, scales)
+    window = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    sums = []
+    for row, scale, first, found in zip(
+        terms, scales[:, 0].tolist(), window.argmax(axis=1).tolist(), window.any(axis=1).tolist()
+    ):
+        if found:
+            total, comp = _compensated_add(scale, 0.0, float(row[: first + 3].sum()))
+            sums.append(total + comp)
+        else:
+            sums.append(None)
+    return sums
+
+
 def _series(a, b, c, w, scale, max_terms):
     """Sum ``scale * 2F1(a, b; c; w)`` by blocked term recurrence.
 
@@ -57,10 +134,16 @@ def _series(a, b, c, w, scale, max_terms):
     ``t_{n+1} = t_n * (a+n)(b+n) / ((c+n)(n+1)) * w`` starting from
     ``t_0 = scale``; blocks are accumulated with Neumaier compensation.
     Stops once _CONSECUTIVE_SMALL consecutive terms fall below
-    ``_STOP_REL`` times the running partial sum.
+    ``_STOP_REL`` times the running partial sum.  The first block is tried
+    at its sized length first (see the module docstring).
     """
     if scale == 0.0 or w == 0.0:
         return scale
+    head = _head_terms(w, max_terms)
+    if head < min(_BLOCK, max_terms):
+        total = _head_sums(a, b, c, w, np.full((1, 1), scale), head)[0]
+        if total is not None:
+            return total
     total = scale
     comp = 0.0
     term = scale
@@ -68,11 +151,7 @@ def _series(a, b, c, w, scale, max_terms):
     run = 0
     while n < max_terms:
         m = min(_BLOCK, max_terms - n)
-        idx = np.arange(n, n + m, dtype=np.float64)
-        ratios = (a + idx) * (b + idx) / ((c + idx) * (idx + 1.0)) * w
-        terms = term * np.cumprod(ratios)
-        partials = total + np.cumsum(terms)
-        small = np.abs(terms) < _STOP_REL * np.maximum(np.abs(partials), 1e-300)
+        terms, small = _block(a, b, c, w, n, m, term, total)
 
         stop = -1
         if run >= _CONSECUTIVE_SMALL - 1 and m >= 1 and small[0]:
@@ -86,13 +165,7 @@ def _series(a, b, c, w, scale, max_terms):
                 stop = int(hits[0]) + 2
 
         upto = m if stop < 0 else stop + 1
-        block_sum = float(terms[:upto].sum())
-        t = total + block_sum
-        if abs(total) >= abs(block_sum):
-            comp += (total - t) + block_sum
-        else:
-            comp += (block_sum - t) + total
-        total = t
+        total, comp = _compensated_add(total, comp, float(terms[:upto].sum()))
         if stop >= 0:
             return total + comp
         term = float(terms[-1])
@@ -156,8 +229,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     return (1.0 - z) ** (-a) * s
 
 
-@lru_cache(maxsize=1 << 17)
-def _coeff_cached(i: int, threshold: float, alpha: float) -> float:
+def _coeff(i: int, threshold: float, alpha: float) -> float:
     delta = 2.0 / alpha
     t = threshold
     w = t / (1.0 + t)
@@ -192,6 +264,41 @@ def _coeff_cached(i: int, threshold: float, alpha: float) -> float:
     )
 
 
+def _coeff_range(start: int, stop: int, threshold: float, alpha: float) -> list[float]:
+    """k_start .. k_{stop-1}, each with the bits :func:`_coeff` gives it.
+
+    The direct-series rows are summed as batched sized first blocks, in
+    chunks of at most ``_BATCH_CELLS`` elements; the other rows, and any row
+    whose series outruns its block, go through :func:`_coeff`.
+    """
+    delta = 2.0 / alpha
+    t = threshold
+    w = t / (1.0 + t)
+    batched = {}
+    if w <= NEAR_UNIT_W:
+        m = _head_terms(w, MAX_TERMS)
+        rows = max(1, _BATCH_CELLS // m)
+        for lo in range(max(start, 1), stop, rows):
+            orders = range(lo, min(lo + rows, stop))
+            a = np.arange(orders.start, orders.stop, dtype=np.float64)[:, None] + 1.0
+            scales = np.array([[delta / (i - delta) * w**i / (1.0 + t)] for i in orders])
+            for i, k in zip(orders, _head_sums(a, 1.0, a - delta, w, scales, m)):
+                if k is not None:
+                    batched[i] = k
+    return [batched[i] if i in batched else _coeff(i, t, alpha) for i in range(start, stop)]
+
+
+def _check_domain(threshold: float, alpha: float) -> None:
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    if threshold <= 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"path-loss exponent alpha must be finite, got {alpha}")
+    if alpha <= 2.0:
+        raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
+
+
 def coeff_k(i: int, threshold: float, alpha: float) -> float:
     """Interference-distribution coefficient k_i(T, alpha), non-negative.
 
@@ -200,11 +307,8 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     """
     if i < 0 or int(i) != i:
         raise ValueError(f"coefficient order must be a non-negative integer, got {i}")
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if alpha <= 2.0:
-        raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
-    return _coeff_cached(int(i), float(threshold), float(alpha))
+    _check_domain(threshold, alpha)
+    return _coeff(int(i), float(threshold), float(alpha))
 
 
 @dataclass(frozen=True)
@@ -219,9 +323,48 @@ class CoefficientTable:
         return len(self.values)
 
 
+class _TableCache:
+    """Longest known coefficient table per (threshold, alpha).
+
+    Least recently used tables are dropped once more than ``max_coeffs``
+    coefficients are held in total.
+    """
+
+    def __init__(self, max_coeffs: int):
+        self._max_coeffs = max_coeffs
+        self._tables: dict[tuple[float, float], CoefficientTable] = {}
+        self._held = 0
+        self._lock = threading.Lock()
+
+    def get(self, key) -> CoefficientTable | None:
+        with self._lock:
+            table = self._tables.pop(key, None)
+            if table is not None:
+                self._tables[key] = table
+            return table
+
+    def put(self, key, table: CoefficientTable) -> None:
+        with self._lock:
+            self._held += len(table) - len(self._tables.pop(key, ()))
+            self._tables[key] = table
+            while self._held > self._max_coeffs and len(self._tables) > 1:
+                self._held -= len(self._tables.pop(next(iter(self._tables))))
+
+
+_tables = _TableCache(_TABLE_CACHE_COEFFS)
+
+
 def coefficient_table(size: int, threshold: float, alpha: float) -> CoefficientTable:
     """Table of the first ``size`` coefficients at (threshold, alpha)."""
     if size < 1:
         raise ValueError(f"table size must be >= 1, got {size}")
-    values = tuple(coeff_k(i, threshold, alpha) for i in range(size))
-    return CoefficientTable(threshold=float(threshold), alpha=float(alpha), values=values)
+    _check_domain(threshold, alpha)
+    key = (float(threshold), float(alpha))
+    table = _tables.get(key)
+    known = () if table is None else table.values
+    if len(known) < size:
+        table = CoefficientTable(*key, known + tuple(_coeff_range(len(known), size, *key)))
+        _tables.put(key, table)
+    if len(table) > size:
+        table = CoefficientTable(*key, table.values[:size])
+    return table

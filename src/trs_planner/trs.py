@@ -61,8 +61,8 @@ class OperatingPoint:
     target_rate_mbps: float
 
     def __post_init__(self):
-        if self.target_rate_mbps <= 0.0:
-            raise ConfigError(f"target rate must be positive, got {self.target_rate_mbps}")
+        if not math.isfinite(self.target_rate_mbps) or self.target_rate_mbps <= 0.0:
+            raise ConfigError(f"target rate must be finite and positive, got {self.target_rate_mbps}")
 
 
 def make_operating_point(
@@ -95,8 +95,8 @@ def required_spectrum(
     load_model: LoadModel = LoadModel.MEAN_LOAD,
 ) -> float:
     """Bandwidth (MHz) meeting the target rate; exact since rate is linear in W."""
-    if target_rate_mbps < 0.0:
-        raise ConfigError(f"target rate must be >= 0, got {target_rate_mbps}")
+    if not math.isfinite(target_rate_mbps) or target_rate_mbps < 0.0:
+        raise ConfigError(f"target rate must be finite and >= 0, got {target_rate_mbps}")
     p_a = active_probability(lambda_b / lambda_u)
     se = spectral_efficiency(p_a, antennas, alpha)
     share = 1.0 if load_model is LoadModel.NO_SHARING else min(1.0, p_a * lambda_b / lambda_u)
@@ -136,8 +136,8 @@ def required_density(
     once the bandwidth share saturates the rate grows only logarithmically
     with density, so demands can sit effectively out of reach.
     """
-    if target_rate_mbps <= 0.0:
-        raise ConfigError(f"target rate must be positive, got {target_rate_mbps}")
+    if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
+        raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
 
     def rate(lam):
         return _rate_at_density(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
@@ -195,8 +195,8 @@ def required_antennas(
     Raises InfeasibleError when the search cap is reached: per-antenna gains
     diminish, so demands can be unreachable at any sane array size.
     """
-    if target_rate_mbps <= 0.0:
-        raise ConfigError(f"target rate must be positive, got {target_rate_mbps}")
+    if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
+        raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
 
     def rate(m):
         cfg = NetworkConfig(
@@ -447,8 +447,8 @@ def doubling_scenario(
     raising, because rate saturation under densification and diminishing
     antenna gains are findings, not errors.
     """
-    if factor <= 0.0:
-        raise ConfigError(f"scale factor must be positive, got {factor}")
+    if not math.isfinite(factor) or factor <= 0.0:
+        raise ConfigError(f"scale factor must be finite and positive, got {factor}")
     cfg = base.config
     if mode is ScaleMode.DOUBLE_RATE:
         target_rate = factor * base.target_rate_mbps

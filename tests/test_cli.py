@@ -279,3 +279,27 @@ class TestScenarioCommand:
             capsys,
         )
         assert code == 2
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite quantity is a bad config (exit 2), never an answer."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["scenario", "--scenario", "dense", "--mode", "double-rate", "--lever", "antennas",
+              "--factor", "nan"], "scale factor"),
+            (["rate", "--lambda-b", "10", "--lambda-u", "100", "--bandwidth-mhz", "10",
+              "--alpha", "inf"], "alpha"),
+            (["rate", "--lambda-b", "10", "--lambda-u", "100", "--bandwidth-mhz", "nan"],
+             "bandwidth_mhz"),
+            (["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1",
+              "--target-rate-mbps", "nan"], "target rate"),
+        ],
+        ids=["scenario-factor", "rate-alpha", "rate-bandwidth", "trs-target"],
+    )
+    def test_exit_2_naming_the_field(self, capsys, argv, field):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {field} must be finite" in err

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from trs_planner import hypergeom
 from trs_planner.hypergeom import (
     CoefficientTable,
     HypergeometricError,
@@ -227,3 +228,103 @@ class TestCoefficientTable:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             coefficient_table(0, 1.0, 4.0)
+
+
+# float.hex of coefficients as computed before the sized first block and the
+# batched tables existed: (threshold, alpha) -> (table size, {order: bits}).
+FROZEN_TABLES = {
+    # w = 2/3: k_0 by its series, k_1..k_7 direct rows
+    (2.0, 3.5): (8, {
+        0: "0x1.e0807a760619cp+0", 1: "0x1.7418a78065027p+0", 2: "0x1.fbd8fea337517p-3",
+        3: "0x1.7014a4daa75d5p-4", 4: "0x1.4b5f0cced0320p-5", 5: "0x1.4b29a6595d565p-6",
+        6: "0x1.5fdefc66fd627p-7", 7: "0x1.853384d93c23ep-8",
+    }),
+    # w = 0.9999: k_0 and k_1..k_3 by the connection formula
+    (1e4, 4.0): (4, {
+        0: "0x1.3828c9fbbe2d2p+7", 1: "0x1.3a28bce0a29bap+6", 2: "0x1.3a28a2ab173c3p+4",
+        3: "0x1.3a287fb9ed118p+3",
+    }),
+    # w = 0.9934: connection rows up to i = 150, near-unit direct rows from 152
+    (150.0, 3.0): (160, {
+        0: "0x1.0d1b516279d15p+6", 1: "0x1.6c1b61c68cf2fp+5", 150: "0x1.4ef6a1f828cdap-9",
+        152: "0x1.44d6c8da58f27p-9", 159: "0x1.245382654701bp-9",
+    }),
+    # w = 0.98: direct rows spread over several batch chunks
+    (50.0, 2.2): (300, {
+        0: "0x1.622e5badeac77p+8", 1: "0x1.42dfc3252df55p+8", 31: "0x1.3c448f12e0a5cp-5",
+        32: "0x1.26ee00e8efeb2p-5", 33: "0x1.13850490671fcp-5", 299: "0x1.3baefc9205616p-17",
+    }),
+}
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty coefficient-table cache for the duration of one test."""
+    cache = hypergeom._TableCache(hypergeom._TABLE_CACHE_COEFFS)
+    monkeypatch.setattr(hypergeom, "_tables", cache)
+
+
+class TestFrozenBits:
+    @pytest.mark.parametrize("key", sorted(FROZEN_TABLES))
+    def test_table_and_scalar_paths_keep_bits(self, fresh_tables, key):
+        size, bits = FROZEN_TABLES[key]
+        values = coefficient_table(size, *key).values
+        for i, expected in bits.items():
+            assert values[i].hex() == expected, i
+            assert coeff_k(i, *key).hex() == expected, i
+
+    def test_series_outrunning_sized_block_keeps_bits(self):
+        # needs ~900 terms against a sized block of 416 at w = 0.9
+        total = _series(8.0, 8.9, 9.0, 0.9, 1.0, hypergeom.MAX_TERMS)
+        assert total.hex() == "0x1.326938f830b10p+26"
+        assert gauss_2f1(8.0, 0.1, 9.0, -9.0).hex() == "0x1.9b4206d61e710p-1"
+
+    @pytest.mark.parametrize("key", [(2.0, 3.5), (50.0, 2.2)])
+    def test_rows_outrunning_batched_block_keep_bits(self, fresh_tables, monkeypatch, key):
+        # a 24-term block is too short for every row, so each one falls back
+        # to the scalar path, whose own sized block falls back to full blocks
+        monkeypatch.setattr(hypergeom, "_head_terms", lambda w, max_terms: min(24, max_terms))
+        scalar_calls = []
+        coeff = hypergeom._coeff
+
+        def counted(i, threshold, alpha):
+            scalar_calls.append(i)
+            return coeff(i, threshold, alpha)
+
+        monkeypatch.setattr(hypergeom, "_coeff", counted)
+        size, bits = FROZEN_TABLES[key]
+        values = coefficient_table(size, *key).values
+        assert scalar_calls == list(range(size))
+        for i, expected in bits.items():
+            assert values[i].hex() == expected, i
+
+    def test_growth_order_does_not_change_tables(self, monkeypatch):
+        tables = {}
+        for order in ((3, 8), (8, 3)):
+            monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(1 << 10))
+            tables[order] = [coefficient_table(n, 2.0, 3.5).values for n in order]
+        assert tables[(3, 8)] == tables[(8, 3)][::-1]
+
+    def test_cache_drops_least_recently_used(self):
+        cache = hypergeom._TableCache(10)
+
+        def table(key, n):
+            return CoefficientTable(key, 4.0, (1.0,) * n)
+
+        cache.put(1.0, table(1.0, 6))
+        cache.put(2.0, table(2.0, 4))
+        assert len(cache.get(1.0)) == 6  # now the most recent
+        cache.put(3.0, table(3.0, 3))
+        assert cache.get(2.0) is None
+        assert cache.get(1.0) and cache.get(3.0)
+        cache.put(4.0, table(4.0, 12))  # alone above the bound, still kept
+        assert cache.get(4.0) and cache.get(1.0) is None and cache.get(3.0) is None
+
+    @pytest.mark.parametrize("threshold, alpha", [
+        (math.nan, 4.0), (math.inf, 4.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_domain_errors(self, threshold, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            coeff_k(0, threshold, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            coefficient_table(2, threshold, alpha)
