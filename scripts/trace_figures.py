@@ -6,7 +6,7 @@ the sparse and dense scenarios.  One CSV per (figure, curve)."""
 import argparse
 from pathlib import Path
 
-from trs_planner.cli import emit_csv
+from trs_planner.cli import curve_csv
 from trs_planner.trs import indifference_curve, log_grid
 
 SCENARIOS = {
@@ -24,12 +24,8 @@ DEMANDS = {
 
 
 def write_curve(curve, path):
-    rows = [
-        (s.axis1, s.axis2 if s.axis2 is not None else "", s.feasible)
-        for s in curve.samples
-    ]
-    path.write_text(emit_csv(("axis1", "axis2", "feasible"), rows))
-    print(f"wrote {path} ({len(rows)} samples)")
+    path.write_text(curve_csv(curve))
+    print(f"wrote {path} ({len(curve.samples)} samples)")
 
 
 def main():

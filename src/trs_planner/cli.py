@@ -74,6 +74,8 @@ class Scenario:
         if self.target_rate_mbps <= 0:
             raise ConfigError(f"scenario {name!r}: target_rate_mbps must be positive")
         self.max_antennas = int(fields.get("max_antennas", trs.DEFAULT_MAX_ANTENNAS))
+        if self.max_antennas < 1:
+            raise ConfigError(f"scenario {name!r}: max_antennas must be >= 1, got {self.max_antennas}")
         raw_w = fields.get("bandwidth_mhz", "auto")
         self._auto_bandwidth = isinstance(raw_w, str) and raw_w.strip().lower() == "auto"
         load = fields.get("load_model", "mean-load")
@@ -96,9 +98,9 @@ class Scenario:
         if not self._auto_bandwidth:
             self._base["bandwidth_mhz"] = float(raw_w)
         # validate the physical quantities now, at load time
-        probe = dict(self._base)
-        probe.setdefault("bandwidth_mhz", 0.0)
-        NetworkConfig(**probe)
+        probe = NetworkConfig(**{"bandwidth_mhz": 0.0, **self._base})
+        if probe.noise_power != 0.0:
+            coverage.user_rate(probe)  # the analytic model rejects noise with its reason
 
     def network_config(self) -> NetworkConfig:
         base = dict(self._base)
@@ -178,6 +180,12 @@ def emit_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def curve_csv(curve: trs.IndifferenceCurve) -> str:
+    """A curve's ``axis1,axis2,feasible`` table; infeasible samples leave axis2 empty."""
+    rows = [(s.axis1, "" if s.axis2 is None else s.axis2, s.feasible) for s in curve.samples]
+    return emit_csv(("axis1", "axis2", "feasible"), rows)
+
+
 def read_csv(text: str):
     """Re-load CSV emitted by this tool: header plus typed rows."""
     lines = [line for line in text.splitlines() if line]
@@ -254,10 +262,10 @@ def _config_from_args(args) -> tuple[NetworkConfig, float | None, Scenario | Non
 
 def cmd_rate(args) -> int:
     cfg, _, _ = _config_from_args(args)
+    rate = coverage.user_rate(cfg)
     p_a = coverage.active_probability(cfg.rho)
     se = coverage.spectral_efficiency(p_a, cfg.antennas, cfg.alpha)
     share = coverage.mean_load_share(cfg, p_a)
-    rate = cfg.bandwidth_mhz * se * share
     report = {
         "rate_mbps": rate,
         "spectral_efficiency_bits_per_hz": se,
@@ -297,23 +305,10 @@ def cmd_curve(args) -> int:
         grid = list(range(args.grid_min_int, args.grid_max_int + 1))
     else:
         grid = trs.log_grid(args.grid_min, args.grid_max, args.grid_points)
-    if args.pair == "w-m":
-        if any(g != int(g) for g in grid):
-            raise ConfigError(f"antenna grid must hold integers, got {grid}")
-        grid = [int(g) for g in grid]
-        curve = trs.indifference_curve(
-            rate, cfg.lambda_u, "w-m", grid,
-            lambda_b=cfg.lambda_b, alpha=cfg.alpha, load_model=cfg.load_model,
-        )
-    else:
-        curve = trs.indifference_curve(
-            rate, cfg.lambda_u, "w-density", grid,
-            antennas=cfg.antennas, alpha=cfg.alpha, load_model=cfg.load_model,
-        )
-    rows = [
-        (s.axis1, s.axis2 if s.axis2 is not None else "", s.feasible)
-        for s in curve.samples
-    ]
+    curve = trs.indifference_curve(
+        rate, cfg.lambda_u, args.pair, grid, lambda_b=cfg.lambda_b, antennas=cfg.antennas,
+        alpha=cfg.alpha, load_model=cfg.load_model,
+    )
     if args.output == "json":
         payload = {
             "pair": curve.pair,
@@ -327,7 +322,7 @@ def cmd_curve(args) -> int:
         }
         _write(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _write(emit_csv(("axis1", "axis2", "feasible"), rows), args.out)
+        _write(curve_csv(curve), args.out)
     return EXIT_OK
 
 

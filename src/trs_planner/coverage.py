@@ -149,6 +149,8 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
 
     Non-increasing in the antenna count and non-decreasing in the threshold.
     """
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     if threshold <= 0.0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
     if not 0.0 < p_a <= 1.0:

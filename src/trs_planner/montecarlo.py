@@ -26,6 +26,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -53,6 +54,8 @@ class McConfig:
     activity_model: ActivityModel = ActivityModel.INDEPENDENT_THINNING
 
     def __post_init__(self):
+        if not math.isfinite(self.window_radius):
+            raise ConfigError(f"window_radius must be finite, got {self.window_radius}")
         if self.window_radius <= 0.0:
             raise ConfigError(f"window_radius must be positive, got {self.window_radius}")
         if self.n_drops < 1 or int(self.n_drops) != self.n_drops:
@@ -61,7 +64,11 @@ class McConfig:
             raise ConfigError(f"n_fading_per_drop must be >= 1, got {self.n_fading_per_drop}")
         if self.seed < 0 or int(self.seed) != self.seed:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        expected_bs = self.network.lambda_b * math.pi * self.window_radius**2
+        expected_bs = self.expected_stations
+        if not math.isfinite(expected_bs):
+            raise ConfigError(
+                f"expected_stations (lambda_b*pi*window_radius**2) must be finite, got {expected_bs}"
+            )
         if expected_bs < 50.0:
             warnings.warn(
                 f"window holds only ~{expected_bs:.1f} stations on average; "
@@ -129,38 +136,56 @@ class SinrSamples:
     annotations: tuple[str, ...]
 
 
+def _map_drops(one_drop, n_drops: int, workers: int | None) -> list:
+    """``one_drop(d)`` for every drop index in order, on worker threads if allowed."""
+    n_workers = resolve_workers(workers)
+    if n_workers > 1 and n_drops > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(one_drop, range(n_drops)))
+    return [one_drop(d) for d in range(n_drops)]
+
+
+def _stations(cfg: McConfig, geom, act):
+    """One drop's station radii and, under Voronoi occupancy, which cells hold a user.
+
+    The geometry stream draws the station count, radii and angles; the
+    activity stream draws the users.  ``occupied`` is None under independent
+    thinning, whose activity draws depend on the serving station.
+    """
+    radius = cfg.window_radius
+    n_bs = geom.poisson(cfg.expected_stations)
+    r = radius * np.sqrt(geom.random(n_bs))
+    theta = 2.0 * math.pi * geom.random(n_bs)
+    if cfg.activity_model is ActivityModel.INDEPENDENT_THINNING or n_bs == 0:
+        return r, None
+    occupied = np.zeros(n_bs, dtype=bool)
+    n_users = act.poisson(cfg.network.lambda_u * math.pi * radius**2)
+    if n_users:
+        u_r = radius * np.sqrt(act.random(n_users))
+        u_theta = 2.0 * math.pi * act.random(n_users)
+        xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        users = np.column_stack((u_r * np.cos(u_theta), u_r * np.sin(u_theta)))
+        _, nearest = cKDTree(xy).query(users)
+        occupied[np.unique(nearest)] = True
+    return r, occupied
+
+
 def _simulate_drop(cfg: McConfig, drop: int):
     net = cfg.network
     geom, act, fade = _drop_streams(cfg.seed, drop)
-    radius = cfg.window_radius
-    n_bs = geom.poisson(net.lambda_b * math.pi * radius**2)
+    r, occupied = _stations(cfg, geom, act)
     n_fad = cfg.n_fading_per_drop
-    if n_bs == 0:
+    if r.size == 0:
         nan = np.full(n_fad, np.nan)
         return nan, nan, math.nan, 0
 
-    r = radius * np.sqrt(geom.random(n_bs))
-    theta = 2.0 * math.pi * geom.random(n_bs)
     serving = int(np.argmin(r))
     r_serving = r[serving]
-    others = np.delete(np.arange(n_bs), serving)
-
-    if cfg.activity_model is ActivityModel.INDEPENDENT_THINNING:
-        p_a = active_probability(net.rho)
-        active_mask = act.random(others.size) < p_a
+    others = np.delete(np.arange(r.size), serving)
+    if occupied is None:
+        active_mask = act.random(others.size) < active_probability(net.rho)
     else:
-        n_users = act.poisson(net.lambda_u * math.pi * radius**2)
-        if n_users:
-            u_r = radius * np.sqrt(act.random(n_users))
-            u_theta = 2.0 * math.pi * act.random(n_users)
-            xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-            users = np.column_stack((u_r * np.cos(u_theta), u_r * np.sin(u_theta)))
-            _, nearest = cKDTree(xy).query(users)
-            occupied = np.zeros(n_bs, dtype=bool)
-            occupied[np.unique(nearest)] = True
-            active_mask = occupied[others]
-        else:
-            active_mask = np.zeros(others.size, dtype=bool)
+        active_mask = occupied[others]
 
     # Fading draw order is fixed (interference first, then the desired gain
     # as a sum of per-antenna exponentials) so that runs differing only in
@@ -179,14 +204,7 @@ def _simulate_drop(cfg: McConfig, drop: int):
 
 def sinr_samples(cfg: McConfig, workers: int | None = None) -> SinrSamples:
     """SINR realizations for every (drop, fading) pair, deterministically."""
-    n_workers = resolve_workers(workers)
-    drops = range(cfg.n_drops)
-    if n_workers > 1 and cfg.n_drops > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda d: _simulate_drop(cfg, d), drops))
-    else:
-        results = [_simulate_drop(cfg, d) for d in drops]
-
+    results = _map_drops(partial(_simulate_drop, cfg), cfg.n_drops, workers)
     sinr = np.stack([res[0] for res in results])
     gain = np.stack([res[1] for res in results])
     mean_i = np.array([res[2] for res in results])
@@ -240,6 +258,8 @@ def _estimate_from_drop_values(values: np.ndarray, cfg: McConfig, annotations=()
 
 def outage_from_samples(samples: SinrSamples, threshold: float, cfg: McConfig) -> McEstimate:
     """Empirical P[SINR < threshold] from shared samples."""
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     if threshold <= 0.0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
     drop_means = (samples.sinr < threshold).mean(axis=1)
@@ -286,32 +306,13 @@ def simulate_active_probability(cfg: McConfig, workers: int | None = None) -> Mc
 
     def one_drop(drop):
         geom, act, _ = _drop_streams(cfg.seed, drop)
-        radius = cfg.window_radius
-        n_bs = geom.poisson(net.lambda_b * math.pi * radius**2)
-        if n_bs == 0:
-            return math.nan
-        r = radius * np.sqrt(geom.random(n_bs))
-        theta = 2.0 * math.pi * geom.random(n_bs)
-        interior = r <= radius - guard
-        if not interior.any():
-            return math.nan
-        n_users = act.poisson(net.lambda_u * math.pi * radius**2)
-        occupied = np.zeros(n_bs, dtype=bool)
-        if n_users:
-            u_r = radius * np.sqrt(act.random(n_users))
-            u_theta = 2.0 * math.pi * act.random(n_users)
-            xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-            users = np.column_stack((u_r * np.cos(u_theta), u_r * np.sin(u_theta)))
-            _, nearest = cKDTree(xy).query(users)
-            occupied[np.unique(nearest)] = True
-        return float(occupied[interior].mean())
+        r, occupied = _stations(cfg, geom, act)
+        interior = r <= cfg.window_radius - guard
+        # each drop owns its streams, so users drawn for a drop without an
+        # interior station leave every other drop's draws unchanged
+        return float(occupied[interior].mean()) if interior.any() else math.nan
 
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and cfg.n_drops > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            values = np.array(list(pool.map(one_drop, range(cfg.n_drops))))
-    else:
-        values = np.array([one_drop(d) for d in range(cfg.n_drops)])
+    values = np.array(_map_drops(one_drop, cfg.n_drops, workers))
     annotations = []
     if np.isnan(values).any():
         kept = values[~np.isnan(values)]

@@ -34,7 +34,7 @@ from .coverage import (
 RATE_REL_TOL = 1e-6
 DENSITY_REL_TOL = 1e-8
 DEFAULT_MAX_ANTENNAS = 1024
-DEFAULT_MAX_DENSITY_RATIO = 1e4
+MAX_DENSITY_RATIO = 1e4
 CENTRAL_REL_STEP = 1e-3
 
 
@@ -97,16 +97,18 @@ def required_spectrum(
     """Bandwidth (MHz) meeting the target rate; exact since rate is linear in W."""
     if not math.isfinite(target_rate_mbps) or target_rate_mbps < 0.0:
         raise ConfigError(f"target rate must be finite and >= 0, got {target_rate_mbps}")
-    p_a = active_probability(lambda_b / lambda_u)
-    se = spectral_efficiency(p_a, antennas, alpha)
-    share = 1.0 if load_model is LoadModel.NO_SHARING else min(1.0, p_a * lambda_b / lambda_u)
-    denom = se * share
+    cfg = NetworkConfig(
+        lambda_b=lambda_b, lambda_u=lambda_u, antennas=antennas, alpha=alpha, load_model=load_model
+    )
+    p_a = active_probability(cfg.rho)
+    denom = spectral_efficiency(p_a, antennas, alpha) * mean_load_share(cfg, p_a)
     if denom <= 0.0 or not math.isfinite(denom):
         raise InfeasibleError(f"rate per MHz is degenerate ({denom}) at lambda_b={lambda_b}")
     return target_rate_mbps / denom
 
 
-def _rate_at_density(lambda_b, bandwidth_mhz, antennas, lambda_u, alpha, load_model):
+def _rate(lambda_b, bandwidth_mhz, antennas, lambda_u, alpha, load_model):
+    """Per-user rate (Mbps) at one point of the lever space."""
     cfg = NetworkConfig(
         lambda_b=lambda_b,
         lambda_u=lambda_u,
@@ -126,12 +128,11 @@ def required_density(
     alpha: float = 4.0,
     load_model: LoadModel = LoadModel.MEAN_LOAD,
     bracket: tuple[float, float] | None = None,
-    max_density_ratio: float = DEFAULT_MAX_DENSITY_RATIO,
 ) -> float:
     """Station density meeting the target rate at fixed bandwidth.
 
     Bisection on the monotone map lambda_b -> rate; the bracket auto-expands
-    up to ``max_density_ratio * lambda_u`` unless one is supplied.  Raises
+    up to ``MAX_DENSITY_RATIO * lambda_u`` unless one is supplied.  Raises
     InfeasibleError when no density within the bracket reaches the demand:
     once the bandwidth share saturates the rate grows only logarithmically
     with density, so demands can sit effectively out of reach.
@@ -140,7 +141,7 @@ def required_density(
         raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
 
     def rate(lam):
-        return _rate_at_density(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
+        return _rate(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
 
     if bracket is not None:
         lo, hi = bracket
@@ -149,7 +150,7 @@ def required_density(
                 f"no sign change in bracket [{lo}, {hi}] for {target_rate_mbps} Mbps"
             )
     else:
-        cap = max_density_ratio * lambda_u
+        cap = MAX_DENSITY_RATIO * lambda_u
         lo = hi = lambda_u
         while rate(hi) < target_rate_mbps:
             if hi >= cap:
@@ -192,30 +193,19 @@ def required_antennas(
 ) -> int:
     """Smallest antenna count meeting the target rate at fixed W and density.
 
-    Raises InfeasibleError when the search cap is reached: per-antenna gains
-    diminish, so demands can be unreachable at any sane array size.
+    Raises InfeasibleError when ``max_antennas`` does not meet the demand:
+    per-antenna gains diminish, so demands can be unreachable at any sane
+    array size.
     """
     if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
         raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
-
-    def rate(m):
-        cfg = NetworkConfig(
-            lambda_b=lambda_b,
-            lambda_u=lambda_u,
-            antennas=m,
-            bandwidth_mhz=bandwidth_mhz,
-            alpha=alpha,
-            load_model=load_model,
-        )
-        return user_rate(cfg)
+    if not math.isfinite(max_antennas) or int(max_antennas) != max_antennas or max_antennas < 1:
+        raise ConfigError(f"max_antennas must be an integer >= 1, got {max_antennas}")
 
     # tolerate float dust when the demand sits exactly on a solved point
     floor = target_rate_mbps * (1.0 - RATE_REL_TOL)
-    if rate(1) >= floor:
-        return 1
-    lo = 1
-    hi = 2
-    while rate(hi) < floor:
+    lo = hi = 1
+    while _rate(lambda_b, bandwidth_mhz, hi, lambda_u, alpha, load_model) < floor:
         lo = hi
         if hi >= max_antennas:
             raise InfeasibleError(
@@ -225,7 +215,7 @@ def required_antennas(
         hi = min(hi * 2, max_antennas)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rate(mid) < floor:
+        if _rate(lambda_b, bandwidth_mhz, mid, lambda_u, alpha, load_model) < floor:
             lo = mid
         else:
             hi = mid
@@ -271,33 +261,33 @@ def indifference_curve(
         raise ConfigError("curve grid must be non-empty")
     if sorted(grid) != grid:
         raise ConfigError("curve grid must be sorted ascending")
-    samples = []
     if pair == "w-m":
         if lambda_b is None:
             raise ConfigError("w-m curve needs the held lambda_b")
         held = {"lambda_b": lambda_b, "alpha": alpha, "load_model": load_model.value}
-        for m in grid:
-            if int(m) != m or m < 1:
+
+        def lever(m):  # (lambda_b, antennas) at a grid value
+            if not math.isfinite(m) or int(m) != m or m < 1:
                 raise ConfigError(f"antenna grid values must be integers >= 1, got {m}")
-            try:
-                w = required_spectrum(target_rate_mbps, lambda_b, int(m), lambda_u, alpha, load_model)
-                samples.append(CurveSample(axis1=float(m), axis2=w, feasible=True))
-            except InfeasibleError:
-                samples.append(CurveSample(axis1=float(m), axis2=None, feasible=False))
+            return lambda_b, int(m)
     elif pair == "w-density":
         if antennas is None:
             raise ConfigError("w-density curve needs the held antenna count")
         held = {"antennas": antennas, "alpha": alpha, "load_model": load_model.value}
-        for lam in grid:
+
+        def lever(lam):
             if lam <= 0:
                 raise ConfigError(f"density grid values must be positive, got {lam}")
-            try:
-                w = required_spectrum(target_rate_mbps, lam, antennas, lambda_u, alpha, load_model)
-                samples.append(CurveSample(axis1=float(lam), axis2=w, feasible=True))
-            except InfeasibleError:
-                samples.append(CurveSample(axis1=float(lam), axis2=None, feasible=False))
+            return lam, antennas
     else:
         raise ConfigError(f"unknown curve pair {pair!r} (expected 'w-m' or 'w-density')")
+    samples = []
+    for value in grid:
+        try:
+            w = required_spectrum(target_rate_mbps, *lever(value), lambda_u, alpha, load_model)
+        except InfeasibleError:
+            w = None
+        samples.append(CurveSample(axis1=float(value), axis2=w, feasible=w is not None))
     return IndifferenceCurve(
         pair=pair,
         target_rate_mbps=target_rate_mbps,
@@ -334,6 +324,14 @@ class TrsValue:
         return math.isinf(self.magnitude)
 
 
+def _per_mhz_saved(w0: float, w1: float, flat_note: str) -> tuple[float, str]:
+    """Forward-unit-step TRS 1 / (W0 - W1), infinite where the step saves nothing."""
+    saving = w0 - w1
+    if saving <= 0.0:
+        return math.inf, flat_note
+    return 1.0 / saving, ""
+
+
 def trs_spectrum_antennas(
     target_rate_mbps: float,
     lambda_b: float,
@@ -345,11 +343,7 @@ def trs_spectrum_antennas(
     """Antennas substituting spectrum: 1 / (W(M) - W(M+1)), forward unit step."""
     w0 = required_spectrum(target_rate_mbps, lambda_b, antennas, lambda_u, alpha, load_model)
     w1 = required_spectrum(target_rate_mbps, lambda_b, antennas + 1, lambda_u, alpha, load_model)
-    saving = w0 - w1
-    if saving <= 0.0:
-        magnitude, note = math.inf, "adding an antenna saves no spectrum here"
-    else:
-        magnitude, note = 1.0 / saving, ""
+    magnitude, note = _per_mhz_saved(w0, w1, "adding an antenna saves no spectrum here")
     return TrsValue(
         pair="spectrum-antennas",
         magnitude=magnitude,
@@ -383,16 +377,12 @@ def trs_spectrum_density(
     w0 = required_spectrum(target_rate_mbps, lambda_b, antennas, lambda_u, alpha, load_model)
     if policy == "unit-step":
         w1 = required_spectrum(target_rate_mbps, lambda_b + 1.0, antennas, lambda_u, alpha, load_model)
-        saving = w0 - w1
-        if saving <= 0.0:
-            magnitude, note = math.inf, "densifying saves no spectrum here"
-        else:
-            magnitude, note = 1.0 / saving, ""
+        magnitude, note = _per_mhz_saved(w0, w1, "densifying saves no spectrum here")
         step = "forward-unit-step dlambda_b=1"
     elif policy == "central-derivative":
         h = CENTRAL_REL_STEP * lambda_b
-        up = _rate_at_density(lambda_b + h, w0, antennas, lambda_u, alpha, load_model)
-        dn = _rate_at_density(lambda_b - h, w0, antennas, lambda_u, alpha, load_model)
+        up = _rate(lambda_b + h, w0, antennas, lambda_u, alpha, load_model)
+        dn = _rate(lambda_b - h, w0, antennas, lambda_u, alpha, load_model)
         drate_ddensity = (up - dn) / (2.0 * h)
         drate_dspectrum = target_rate_mbps / w0
         if drate_ddensity <= 0.0:

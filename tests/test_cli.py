@@ -262,6 +262,32 @@ class TestScenarioCommand:
         report = json.loads(out)["report"]
         assert report["feasible"] is False and report["lever_value"] is None
 
+    def test_antenna_cap_of_one_reports_infeasible(self, capsys, tmp_path):
+        # two antennas would meet a 1.3x rate, but the file caps the array at one
+        path = tmp_path / "s.scenario"
+        path.write_text(SCENARIO_TEXT + "tiny.max_antennas = 1\n")
+        code, out, _ = run(
+            ["scenario", "--file", str(path), "--scenario", "tiny", "--mode", "double-rate",
+             "--lever", "antennas", "--factor", "1.3"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["feasible"] is False and report["lever_value"] is None
+        assert "1-antenna search cap" in report["note"]
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_antenna_cap_below_one_exit_2(self, capsys, tmp_path, cap):
+        path = tmp_path / "s.scenario"
+        path.write_text(SCENARIO_TEXT + f"tiny.max_antennas = {cap}\n")
+        code, out, err = run(
+            ["scenario", "--file", str(path), "--scenario", "tiny", "--mode", "double-rate",
+             "--lever", "antennas"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "max_antennas must be >= 1" in err
+
     def test_scenario_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.scenario"
         path.write_text(SCENARIO_TEXT)
@@ -303,3 +329,96 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert f"error: {field} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--window-factor", "nan"], "window_radius"),
+            (["--lambda-u", "1e308"], "expected_stations"),
+            (["--t-values", "nan"], "threshold"),
+        ],
+        ids=["window-factor", "lambda-u-overflow", "t-values"],
+    )
+    def test_validate_exit_2_naming_the_field(self, capsys, flags, field):
+        argv = ["validate", "--rho-values", "1", "--m-values", "1", "--n-drops", "4",
+                "--n-fading", "4"] + flags
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {field}" in err and "must be finite" in err
+
+
+class TestFrozenOutput:
+    """Exact stdout recorded before `rate` took its figure from `user_rate`."""
+
+    def test_rate_json(self, capsys):
+        code, out, _ = run(["rate", "--scenario", "dense", "--antennas", "2"], capsys)
+        assert code == 0
+        assert out == (
+            '{\n  "rate_mbps": 504.7696809418349,\n'
+            '  "spectral_efficiency_bits_per_hz": 7.65531144374196,\n'
+            '  "bandwidth_share": 0.9389317308100376,\n'
+            '  "active_probability": 0.09389317308100376,\n'
+            '  "config": {\n    "lambda_b": 1000.0,\n    "lambda_u": 100.0,\n'
+            '    "antennas": 2,\n    "bandwidth_mhz": 70.22574917666128,\n'
+            '    "alpha": 4.0,\n    "load_model": "mean-load"\n  }\n}\n'
+        )
+
+    def test_rate_human(self, capsys):
+        code, out, _ = run(["rate", "--scenario", "sparse", "--output", "human"], capsys)
+        assert code == 0
+        assert out == (
+            "rate 15 Mbps  (W=70.1007 MHz x SE=2.15893 b/s/Hz x share=0.0991127; p_a=0.991127)\n"
+        )
+
+    def test_density_curve_csv(self, capsys):
+        # the np.float64(...) cells are the recorded text of this output
+        code, out, _ = run(
+            ["curve", "--scenario", "dense", "--pair", "w-density", "--grid-min", "100",
+             "--grid-max", "5000", "--grid-points", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            "axis1,axis2,feasible\n"
+            "100.0,np.float64(250.3503742968145),true\n"
+            "707.1067811865474,np.float64(81.20590587840479),true\n"
+            "5000.0,np.float64(41.35032069719263),true\n"
+        )
+
+    def test_antenna_curve_csv(self, capsys):
+        code, out, _ = run(
+            ["curve", "--pair", "w-m", "--grid", "1,2", "--target-rate-mbps", "40",
+             "--lambda-b", "1", "--lambda-u", "100"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "axis1,axis2,feasible\n1.0,1862.0687720257806,true\n2.0,1354.8587778510969,true\n"
+
+
+class TestScenarioNoise:
+    """The analytic commands have no noise term, so a noisy scenario is refused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate"],
+            ["curve", "--pair", "w-m", "--grid", "1,2"],
+            ["trs", "--pair", "w-m", "--at", "1"],
+            ["scenario", "--mode", "double-rate", "--lever", "spectrum"],
+        ],
+        ids=["rate", "curve", "trs", "scenario"],
+    )
+    def test_nonzero_noise_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "s.scenario"
+        path.write_text(SCENARIO_TEXT + "tiny.noise_power = 5\n")
+        code, out, err = run(argv + ["--file", str(path), "--scenario", "tiny"], capsys)
+        assert code == 2 and out == ""
+        assert "interference-limited; set noise_power=0" in err
+
+    def test_zero_noise_accepted(self, capsys, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text(SCENARIO_TEXT + "tiny.noise_power = 0\n")
+        code, out, _ = run(["rate", "--file", str(path), "--scenario", "tiny"], capsys)
+        assert code == 0
+        assert json.loads(out)["rate_mbps"] == pytest.approx(15.0, rel=1e-9)

@@ -1,5 +1,6 @@
 """Simulator tests: determinism, estimator correctness, analytic agreement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -197,3 +198,81 @@ class TestConfigValidation:
             1.0,
         )
         assert noisy.mean >= quiet.mean
+
+
+def _digest(samples):
+    h = hashlib.sha256()
+    for array in (samples.sinr, samples.desired_gain, samples.mean_interference, samples.n_active):
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+class TestFrozenBits:
+    """Exact values recorded before the drop kernels were shared; a refactor
+    of the simulator must reproduce every bit at any worker count."""
+
+    def voronoi_cfg(self, **kw):
+        base = dict(lambda_u=30.0, antennas=2, n_drops=16, n_fading=8, seed=2024,
+                    model=ActivityModel.VORONOI_OCCUPANCY)
+        base.update(kw)
+        return make_cfg(**base)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_active_probability(self, workers):
+        est = simulate_active_probability(self.voronoi_cfg(), workers=workers)
+        assert est.mean.hex() == "0x1.c56e7215dc03ep-1"
+        assert est.std_error.hex() == "0x1.d6ccfc2592b72p-9"
+        assert est.n_drops == 16 and est.annotations == ()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_active_probability_with_empty_drops(self, workers):
+        cfg = self.voronoi_cfg(n_drops=24, seed=7, window_factor=1.5)
+        est = simulate_active_probability(cfg, workers=workers)
+        assert est.mean.hex() == "0x1.dd75d75d75d75p-1"
+        assert est.std_error.hex() == "0x1.08e511fe87370p-5"
+        assert est.n_drops == 21 and est.annotations == ("3 empty drops skipped",)
+
+    @pytest.mark.parametrize(
+        "kw, digest, p_out",
+        [
+            ({}, "70c5abecb159b8b91561916256b9ee255e48079257777ed094bb26065f88e1c0",
+             "0x1.5800000000000p-2"),
+            (dict(n_drops=24, seed=7, window_factor=1.5),
+             "fd8f6021036c905a9c941a41e879ff64a49e6446f3b35f122e000a6b14e4037b",
+             "0x1.aaaaaaaaaaaabp-4"),
+            (dict(model=ActivityModel.INDEPENDENT_THINNING),
+             "8e821381e944aab2971a3aee2ac4a34e08b82dd18a17f6a0512cdfb50cb398fa", None),
+        ],
+        ids=["voronoi", "voronoi-small-window", "thinning"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sinr_samples(self, workers, kw, digest, p_out):
+        cfg = self.voronoi_cfg(**kw)
+        samples = sinr_samples(cfg, workers=workers)
+        assert _digest(samples) == digest
+        if p_out is not None:
+            assert outage_from_samples(samples, 1.0, cfg).mean.hex() == p_out
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_window_radius(self, radius):
+        net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
+        with pytest.raises(ConfigError, match="window_radius must be finite"):
+            McConfig(network=net, window_radius=radius, n_drops=1, n_fading_per_drop=1, seed=0)
+
+    def test_expected_station_count_overflow(self):
+        net = NetworkConfig(lambda_b=1e308, lambda_u=1e308)
+        with pytest.raises(ConfigError, match="expected_stations"):
+            McConfig(network=net, window_radius=recommended_window(1e308), n_drops=1,
+                     n_fading_per_drop=1, seed=0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold(self, threshold):
+        cfg = make_cfg(n_drops=2, n_fading=2)
+        samples = sinr_samples(cfg, workers=1)
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            outage_from_samples(samples, threshold, cfg)
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            outage_probability(threshold, 0.5, 2, 4.0)

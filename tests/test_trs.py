@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,26 @@ class TestRequiredAntennas:
         w = required_spectrum(15.0, **SPARSE)
         with pytest.raises(InfeasibleError):
             required_antennas(200.0, w, 10.0, 100.0, max_antennas=16)
+
+    def test_never_returns_more_than_the_cap(self):
+        # two antennas meet 20 Mbps at the sparse point, one does not
+        w = required_spectrum(15.0, **SPARSE)
+        assert required_antennas(20.0, w, 10.0, 100.0) == 2
+        with pytest.raises(InfeasibleError, match="the 1-antenna search cap"):
+            required_antennas(20.0, w, 10.0, 100.0, max_antennas=1)
+        assert required_antennas(20.0, w, 10.0, 100.0, max_antennas=2) == 2
+        for cap in range(1, 9):
+            if cap < 6:
+                with pytest.raises(InfeasibleError):
+                    required_antennas(30.0, w, 10.0, 100.0, max_antennas=cap)
+            else:
+                assert required_antennas(30.0, w, 10.0, 100.0, max_antennas=cap) == 6
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, math.nan, math.inf])
+    def test_invalid_cap_rejected(self, cap):
+        w = required_spectrum(15.0, **SPARSE)
+        with pytest.raises(ConfigError, match="max_antennas"):
+            required_antennas(20.0, w, 10.0, 100.0, max_antennas=cap)
 
 
 class TestIndifferenceCurve:
@@ -246,3 +267,57 @@ class TestDoublingScenario:
     def test_operating_point_validation(self):
         with pytest.raises(ConfigError):
             make_operating_point(-1.0, 10.0, 1, 100.0)
+
+
+class TestFrozenBits:
+    """Exact answers on the built-in scenarios, recorded before the planner's
+    duplicated rate, curve and step code was folded into one path each."""
+
+    def base_spectrum(self):
+        return required_spectrum(15.0, **SPARSE), required_spectrum(420.0, **DENSE)
+
+    def test_required_spectrum(self):
+        w_sparse, w_dense = self.base_spectrum()
+        assert w_sparse.hex() == "0x1.18671fcd9f3bdp+6"
+        assert w_dense.hex() == "0x1.18e72acacb6fcp+6"
+
+    def test_required_density(self):
+        w_sparse, w_dense = self.base_spectrum()
+        assert required_density(30.0, w_sparse, 1, 100.0).hex() == "0x1.457bfe8f50000p+4"
+        assert required_density(420.0, w_dense, 1, 200.0).hex() == "0x1.f3fffffb50000p+10"
+
+    def test_required_antennas(self):
+        w_sparse, w_dense = self.base_spectrum()
+        assert required_antennas(30.0, w_sparse, 10.0, 100.0) == 6
+        assert required_antennas(420.0, w_dense, 1000.0, 200.0) == 3
+
+    def test_antenna_curve(self):
+        curve = indifference_curve(15.0, 100.0, "w-m", list(range(1, 9)), lambda_b=10.0)
+        assert [s.axis2.hex() for s in curve.samples] == [
+            "0x1.18671fcd9f3bdp+6", "0x1.984743f59b9bap+5", "0x1.5c9433318958ap+5",
+            "0x1.3acbdc414bf59p+5", "0x1.245e984f046c8p+5", "0x1.1414381e5ef0bp+5",
+            "0x1.078a6e95f34f3p+5", "0x1.fafc8d74f8e07p+4",
+        ]
+        assert all(type(s.axis2) is float for s in curve.samples)
+        assert curve.held == {"lambda_b": 10.0, "alpha": 4.0, "load_model": "mean-load"}
+
+    def test_density_curve(self):
+        curve = indifference_curve(
+            420.0, 100.0, "w-density", log_grid(100.0, 5000.0, 6), antennas=1
+        )
+        assert [s.axis2.hex() for s in curve.samples] == [
+            "0x1.f4b36442845acp+7", "0x1.296e76f3c74f3p+7", "0x1.853d39d509e9dp+6",
+            "0x1.13f524d4b64a9p+6", "0x1.a0ee0ebbae329p+5", "0x1.4acd74f00c6f2p+5",
+        ]
+        # log_grid points are numpy scalars and so is the spectrum there
+        assert all(type(s.axis2) is np.float64 for s in curve.samples)
+        assert curve.held == {"antennas": 1, "alpha": 4.0, "load_model": "mean-load"}
+
+    def test_trs_values(self):
+        assert trs_spectrum_antennas(15.0, 10.0, 1, 100.0).magnitude.hex() == "0x1.adaadb4b4543cp-5"
+        assert trs_spectrum_antennas(15.0, 10.0, 4, 100.0).magnitude.hex() == "0x1.6d46e71b439bap-2"
+        unit = trs_spectrum_density(420.0, 500.0, 1, 100.0)
+        deriv = trs_spectrum_density(420.0, 500.0, 1, 100.0, policy="central-derivative")
+        assert unit.magnitude.hex() == "0x1.5daec9a8e1753p+3"
+        assert deriv.magnitude.hex() == "0x1.5d12698f1b20cp+3"
+        assert unit.bandwidth_mhz.hex() == deriv.bandwidth_mhz.hex() == "0x1.7ceafefbb5680p+6"
