@@ -6,8 +6,9 @@ with independent thinning on common random numbers, and report the paired gap.
 """
 
 import argparse
+import sys
 
-from trs_planner.coverage import NetworkConfig, outage_probability, active_probability
+from trs_planner.coverage import ConfigError, NetworkConfig, outage_probability, active_probability
 from trs_planner.montecarlo import McConfig, activity_gap_report, recommended_window
 
 
@@ -47,4 +48,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        sys.exit(2)

@@ -209,6 +209,11 @@ def read_csv(text: str):
     return header, rows
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: a non-finite number raises ValueError (exit 3) instead of printing NaN."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _write(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -286,13 +291,16 @@ def cmd_rate(args) -> int:
             f"SE={se:.6g} b/s/Hz x share={share:.6g}; p_a={p_a:.6g})\n"
         )
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report)
     _write(text, args.out)
     return EXIT_OK
 
 
 def _parse_grid(raw: str):
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as err:
+        raise ConfigError(f"cannot parse the list {raw!r}: {err}") from err
 
 
 def cmd_curve(args) -> int:
@@ -320,7 +328,7 @@ def cmd_curve(args) -> int:
                 for s in curve.samples
             ],
         }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(_json_text(payload), args.out)
     else:
         _write(curve_csv(curve), args.out)
     return EXIT_OK
@@ -354,7 +362,7 @@ def cmd_trs(args) -> int:
             if v.is_infinite:
                 entry["magnitude"] = "inf"  # keep the JSON standard-parseable
             payload.append(entry)
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(_json_text(payload), args.out)
     else:
         header = ("point", "trs", "units", "step_policy", "note")
         rows = [
@@ -372,6 +380,10 @@ def cmd_trs(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.n_drops < 2:
+        raise ConfigError(
+            f"--n-drops must be >= 2 (a drop-level standard error needs two drops), got {args.n_drops}"
+        )
     rho_values = _parse_grid(args.rho_values)
     m_values = [int(m) for m in _parse_grid(args.m_values)]
     t_values = _parse_grid(args.t_values)
@@ -410,7 +422,7 @@ def cmd_validate(args) -> int:
     )
     if args.output == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        _write(json.dumps({"cells": payload, "all_pass": all_pass}, indent=2) + "\n", args.out)
+        _write(_json_text({"cells": payload, "all_pass": all_pass}), args.out)
     else:
         _write(emit_csv(header, rows), args.out)
     return EXIT_OK if all_pass else EXIT_VALIDATION_FAILED
@@ -437,7 +449,7 @@ def cmd_scenario(args) -> int:
         },
         "report": asdict(report),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -526,7 +538,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (HypergeometricError, QuadratureError, ArithmeticError) as err:
+    except (HypergeometricError, QuadratureError, ArithmeticError, ValueError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

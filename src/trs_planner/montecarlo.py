@@ -16,6 +16,16 @@ quantifies the difference with common random numbers.
 Reproducibility: every drop draws from Philox substreams keyed by
 ``(seed, drop index, purpose)``, so results are bit-identical for a given
 (seed, config) regardless of how many worker threads execute the drops.
+
+Shared drops: a drop's stations, activity and interference do not depend on
+the antenna count, and they cost nearly all of its time.  ``sinr_samples``
+keeps that part of the last two runs, keyed by the config with its antenna
+count normalised to 1 and by the worker count, together with the fade
+stream's Philox state right after the interference draw.  Another antenna
+count, or another threshold on the same config, then only draws the desired
+gains, from a generator restored to that state.  The restored generator
+continues the very stream a cold run would draw from, so the bits are the
+same either way.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -69,6 +79,12 @@ class McConfig:
             raise ConfigError(
                 f"expected_stations (lambda_b*pi*window_radius**2) must be finite, got {expected_bs}"
             )
+        if self.activity_model is ActivityModel.VORONOI_OCCUPANCY:
+            expected_users = self.expected_users
+            if not math.isfinite(expected_users):
+                raise ConfigError(
+                    f"expected_users (lambda_u*pi*window_radius**2) must be finite, got {expected_users}"
+                )
         if expected_bs < 50.0:
             warnings.warn(
                 f"window holds only ~{expected_bs:.1f} stations on average; "
@@ -79,6 +95,10 @@ class McConfig:
     @property
     def expected_stations(self) -> float:
         return self.network.lambda_b * math.pi * self.window_radius**2
+
+    @property
+    def expected_users(self) -> float:
+        return self.network.lambda_u * math.pi * self.window_radius**2
 
 
 def recommended_window(lambda_b: float, factor: float = 20.0) -> float:
@@ -159,7 +179,7 @@ def _stations(cfg: McConfig, geom, act):
     if cfg.activity_model is ActivityModel.INDEPENDENT_THINNING or n_bs == 0:
         return r, None
     occupied = np.zeros(n_bs, dtype=bool)
-    n_users = act.poisson(cfg.network.lambda_u * math.pi * radius**2)
+    n_users = act.poisson(cfg.expected_users)
     if n_users:
         u_r = radius * np.sqrt(act.random(n_users))
         u_theta = 2.0 * math.pi * act.random(n_users)
@@ -170,17 +190,20 @@ def _stations(cfg: McConfig, geom, act):
     return r, occupied
 
 
-def _simulate_drop(cfg: McConfig, drop: int):
+def _drop_interference(cfg: McConfig, drop: int):
+    """The part of a drop every antenna count shares, or None for an empty window.
+
+    Returns the serving distance, the interference per fading sample, the
+    active interferer count and the fade stream's state after the
+    interference draw, from which ``_drop_sinr`` draws the desired gain.
+    """
     net = cfg.network
     geom, act, fade = _drop_streams(cfg.seed, drop)
     r, occupied = _stations(cfg, geom, act)
-    n_fad = cfg.n_fading_per_drop
     if r.size == 0:
-        nan = np.full(n_fad, np.nan)
-        return nan, nan, math.nan, 0
+        return None
 
     serving = int(np.argmin(r))
-    r_serving = r[serving]
     others = np.delete(np.arange(r.size), serving)
     if occupied is None:
         active_mask = act.random(others.size) < active_probability(net.rho)
@@ -191,20 +214,64 @@ def _simulate_drop(cfg: McConfig, drop: int):
     # as a sum of per-antenna exponentials) so that runs differing only in
     # the antenna count share interference samples and couple the desired
     # gain monotonically.
+    n_fad = cfg.n_fading_per_drop
     weights = net.tx_power * r[others] ** (-net.alpha) * active_mask
     h = fade.exponential(1.0, size=(n_fad, others.size)) if others.size else np.zeros((n_fad, 0))
     interference = h @ weights if others.size else np.zeros(n_fad)
-    gain = fade.exponential(1.0, size=(net.antennas, n_fad)).sum(axis=0)
+    interference.flags.writeable = False  # the memo hands it to every run it serves
+    return r[serving], interference, int(active_mask.sum()), fade.bit_generator.state
+
+
+def _drop_sinr(cfg: McConfig, shared):
+    """One drop's SINR, gain, mean interference and active count at ``cfg``'s antenna count."""
+    n_fad = cfg.n_fading_per_drop
+    if shared is None:
+        nan = np.full(n_fad, np.nan)
+        return nan, nan, math.nan, 0
+    net = cfg.network
+    r_serving, interference, n_active, fade_state = shared
+    bits = np.random.Philox(0)
+    bits.state = fade_state
+    gain = np.random.Generator(bits).exponential(1.0, size=(net.antennas, n_fad)).sum(axis=0)
     signal = net.tx_power * gain * r_serving ** (-net.alpha)
     denom = interference + net.noise_power
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, signal / np.where(denom > 0.0, denom, 1.0), np.inf)
-    return sinr, gain, float(interference.mean()), int(active_mask.sum())
+    return sinr, gain, float(interference.mean()), n_active
+
+
+@dataclass(frozen=True)
+class _SharedKey:
+    """Memo key of a run's shared drops: its config less the antenna count, and its workers.
+
+    ``config`` is a tuple of the fields, not a rebuilt ``McConfig``, whose
+    construction would repeat the small-window warning.  ``cfg`` rides along
+    uncompared for the computation, which never reads the antenna count.
+    The worker count is part of the key so that runs at different worker
+    counts still compute their drops independently.
+    """
+
+    config: tuple
+    workers: int
+    cfg: McConfig = field(compare=False)
+
+    @classmethod
+    def of(cls, cfg: McConfig, workers: int | None) -> "_SharedKey":
+        config = (
+            cfg.network.with_(antennas=1), cfg.window_radius, cfg.n_drops,
+            cfg.n_fading_per_drop, cfg.seed, cfg.activity_model,
+        )
+        return cls(config, resolve_workers(workers), cfg)
+
+
+@lru_cache(maxsize=2)
+def _shared_drops(key: _SharedKey) -> list:
+    return _map_drops(partial(_drop_interference, key.cfg), key.cfg.n_drops, key.workers)
 
 
 def sinr_samples(cfg: McConfig, workers: int | None = None) -> SinrSamples:
     """SINR realizations for every (drop, fading) pair, deterministically."""
-    results = _map_drops(partial(_simulate_drop, cfg), cfg.n_drops, workers)
+    results = [_drop_sinr(cfg, shared) for shared in _shared_drops(_SharedKey.of(cfg, workers))]
     sinr = np.stack([res[0] for res in results])
     gain = np.stack([res[1] for res in results])
     mean_i = np.array([res[2] for res in results])

@@ -422,3 +422,74 @@ class TestScenarioNoise:
         code, out, _ = run(["rate", "--file", str(path), "--scenario", "tiny"], capsys)
         assert code == 0
         assert json.loads(out)["rate_mbps"] == pytest.approx(15.0, rel=1e-9)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every JSON document is standard JSON; a non-finite number is a numeric failure."""
+
+    @pytest.mark.parametrize("drops", ["1", "0"])
+    def test_validate_needs_two_drops(self, capsys, drops):
+        code, out, err = run(
+            ["validate", "--n-drops", drops, "--n-fading", "5", "--rho-values", "1",
+             "--m-values", "1", "--t-values", "1", "--output", "json"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "error: --n-drops must be >= 2" in err
+
+    def test_validate_two_drops_is_strict_json(self, capsys):
+        code, out, _ = run(
+            ["validate", "--n-drops", "2", "--n-fading", "5", "--rho-values", "1",
+             "--m-values", "1", "--t-values", "1", "--output", "json"],
+            capsys,
+        )
+        assert code in (0, 1)
+        cell = _strict_json(out)["cells"][0]
+        assert cell["std_error"] < float("inf") and cell["tolerance"] < float("inf")
+
+    def test_overflowing_rate_exit_3(self, capsys):
+        code, out, err = run(
+            ["rate", "--lambda-b", "10", "--lambda-u", "100", "--bandwidth-mhz", "1e308"], capsys
+        )
+        assert code == 3 and out == ""
+        assert "numeric failure" in err and "not JSON compliant" in err
+
+    def test_infinite_trs_keeps_its_literal(self, capsys, monkeypatch):
+        import dataclasses
+        import math
+
+        from trs_planner import trs
+
+        real = trs.trs_spectrum_antennas
+
+        def flat(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), magnitude=math.inf)
+
+        monkeypatch.setattr(trs, "trs_spectrum_antennas", flat)
+        code, out, _ = run(
+            ["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1", "--output", "json"], capsys
+        )
+        assert code == 0
+        assert _strict_json(out)[0]["magnitude"] == "inf"
+
+
+class TestUnparsableList:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--rho-values", "1,abc"],
+            ["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1,x"],
+        ],
+        ids=["validate", "trs"],
+    )
+    def test_exit_2_quoting_the_list(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "error: cannot parse the list" in err

@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from trs_planner import montecarlo
 from trs_planner.coverage import ConfigError, NetworkConfig, active_probability, outage_probability
 from trs_planner.montecarlo import (
     ActivityModel,
@@ -268,6 +271,15 @@ class TestNonFiniteConfig:
             McConfig(network=net, window_radius=recommended_window(1e308), n_drops=1,
                      n_fading_per_drop=1, seed=0)
 
+    def test_expected_user_count_overflow(self):
+        net = NetworkConfig(lambda_b=1e8, lambda_u=1e308)
+        window = recommended_window(1e8)
+        with pytest.raises(ConfigError, match="expected_users"):
+            McConfig(network=net, window_radius=window, n_drops=1, n_fading_per_drop=1, seed=0,
+                     activity_model=ActivityModel.VORONOI_OCCUPANCY)
+        # independent thinning draws no users, so the same numbers stand
+        McConfig(network=net, window_radius=window, n_drops=1, n_fading_per_drop=1, seed=0)
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_threshold(self, threshold):
         cfg = make_cfg(n_drops=2, n_fading=2)
@@ -276,3 +288,114 @@ class TestNonFiniteConfig:
             outage_from_samples(samples, threshold, cfg)
         with pytest.raises(ConfigError, match="threshold must be finite"):
             outage_probability(threshold, 0.5, 2, 4.0)
+
+
+# sha256 of sinr_samples, recorded before drops were shared across antenna counts
+COLD_DIGESTS = {
+    (ActivityModel.VORONOI_OCCUPANCY, 1): "1f072f74fcba30401db646d1c341d3c63021122463315f80fb53206f4ffe9f0b",
+    (ActivityModel.VORONOI_OCCUPANCY, 2): "70c5abecb159b8b91561916256b9ee255e48079257777ed094bb26065f88e1c0",
+    (ActivityModel.VORONOI_OCCUPANCY, 4): "60e8929640edff908ee76c18e0841d00444534e6d1c9012f71bf48abfb15ab2e",
+    (ActivityModel.VORONOI_OCCUPANCY, 8): "99437dcbda761019b50f3474810fc29e82aae0efd6ea706c319583a0d87363e2",
+    (ActivityModel.INDEPENDENT_THINNING, 1): "b000362cc8eeeb157342fd0aa15fdb6fdcd69106daf1b267b6202cc3d6fb5a40",
+    (ActivityModel.INDEPENDENT_THINNING, 2): "8e821381e944aab2971a3aee2ac4a34e08b82dd18a17f6a0512cdfb50cb398fa",
+    (ActivityModel.INDEPENDENT_THINNING, 4): "c9ad8d139392be1db110dea8f28788aabe47fc4557645ec0e65b17986cde60a7",
+    (ActivityModel.INDEPENDENT_THINNING, 8): "5fcb8917b7bc62764abe7b6afdafd64d2118a516b0e42a7eed4f1772c0be1160",
+}
+
+# (mean, std_error) hex of the voronoi, thinning and gap estimates, recorded the same way
+COLD_GAPS = {
+    0.3: [("0x1.1111111111111p-6", "0x1.7033f90087124p-7"),
+          ("0x1.1111111111111p-6", "0x1.7033f90087124p-7"),
+          ("0x0.0p+0", "0x1.9358a0689a616p-7")],
+    1.0: [("0x1.1111111111111p-4", "0x1.7033f90087125p-6"),
+          ("0x1.7777777777778p-4", "0x1.136254bfd1e04p-5"),
+          ("-0x1.9999999999998p-6", "0x1.f31d8e7817ef3p-6")],
+    3.0: [("0x1.4444444444445p-3", "0x1.99151ecf59590p-5"),
+          ("0x1.bbbbbbbbbbbbdp-3", "0x1.cc40f740a8d6dp-5"),
+          ("-0x1.ddddddddddde0p-5", "0x1.1640f6ad2faefp-4")],
+}
+
+
+def _gap_bits(report):
+    return [(e.mean.hex(), e.std_error.hex()) for e in (report.voronoi, report.thinning, report.gap)]
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+class TestSharedDrops:
+    """Runs that differ only in antenna count or threshold reuse one drop set, bit for bit."""
+
+    @staticmethod
+    def cfg(model, antennas=1, seed=2024):
+        return make_cfg(lambda_u=30.0, antennas=antennas, n_drops=16, n_fading=8, seed=seed,
+                        model=model)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model", list(ActivityModel), ids=lambda m: m.value)
+    def test_antenna_counts_in_sequence_match_cold_runs(self, model, workers):
+        counts = (1, 2, 4, 8)
+        montecarlo._shared_drops.cache_clear()
+        shared = [_digest(sinr_samples(self.cfg(model, m), workers=workers)) for m in counts]
+        assert montecarlo._shared_drops.cache_info().hits == len(counts) - 1
+        cold = []
+        for m in counts:
+            montecarlo._shared_drops.cache_clear()
+            cold.append(_digest(sinr_samples(self.cfg(model, m), workers=workers)))
+        assert shared == cold == [COLD_DIGESTS[model, m] for m in counts]
+
+    def test_activity_gap_thresholds_match_cold_runs(self):
+        cfg = make_cfg(lambda_b=100.0, lambda_u=30.0, n_drops=12, n_fading=10, seed=5)
+        montecarlo._shared_drops.cache_clear()
+        shared = {t: _gap_bits(activity_gap_report(cfg, t, workers=2)) for t in COLD_GAPS}
+        # the first threshold computes both activity models' drops, the rest reuse them
+        assert montecarlo._shared_drops.cache_info().hits == 2 * (len(COLD_GAPS) - 1)
+        cold = {}
+        for t in COLD_GAPS:
+            montecarlo._shared_drops.cache_clear()
+            cold[t] = _gap_bits(activity_gap_report(cfg, t, workers=2))
+        assert shared == cold == COLD_GAPS
+
+    def test_other_worker_count_recomputes(self, monkeypatch):
+        calls = []
+        real = montecarlo._drop_interference
+
+        def counted(cfg, drop):
+            calls.append(drop)
+            return real(cfg, drop)
+
+        monkeypatch.setattr(montecarlo, "_drop_interference", counted)
+        montecarlo._shared_drops.cache_clear()
+        model = ActivityModel.INDEPENDENT_THINNING
+        one = sinr_samples(self.cfg(model), workers=1)
+        assert len(calls) == 16
+        sinr_samples(self.cfg(model, antennas=4), workers=1)
+        assert len(calls) == 16
+        four = sinr_samples(self.cfg(model), workers=4)
+        assert len(calls) == 32
+        assert _digest(one) == _digest(four)
+
+    def test_memo_stays_within_its_maxsize(self):
+        montecarlo._shared_drops.cache_clear()
+        maxsize = montecarlo._shared_drops.cache_info().maxsize
+        assert maxsize is not None
+        for seed in range(maxsize + 3):
+            for model in ActivityModel:
+                sinr_samples(self.cfg(model, seed=seed), workers=1)
+                assert montecarlo._shared_drops.cache_info().currsize <= maxsize
+
+    def test_concurrent_callers_get_cold_bits(self):
+        jobs = [(model, m, workers) for model in ActivityModel for m in (1, 2, 4, 8)
+                for workers in (1, 2)] * 3
+
+        def digest(job):
+            model, m, workers = job
+            return _digest(sinr_samples(self.cfg(model, m), workers=workers))
+
+        montecarlo._shared_drops.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(digest, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [COLD_DIGESTS[model, m] for model, m, _ in jobs]
