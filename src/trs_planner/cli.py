@@ -303,6 +303,15 @@ def _parse_grid(raw: str):
         raise ConfigError(f"cannot parse the list {raw!r}: {err}") from err
 
 
+def _parse_counts(raw: str, flag: str) -> list[int]:
+    """A comma-separated list of whole numbers, such as antenna counts."""
+    values = _parse_grid(raw)
+    for value in values:
+        if not value.is_integer():
+            raise ConfigError(f"{flag} takes whole numbers, got {value!r} in {raw!r}")
+    return [int(value) for value in values]
+
+
 def cmd_curve(args) -> int:
     cfg, rate, _ = _config_from_args(args)
     if rate is None:
@@ -338,16 +347,15 @@ def cmd_trs(args) -> int:
     cfg, rate, _ = _config_from_args(args)
     if rate is None:
         raise ConfigError("trs needs --target-rate-mbps or a scenario demand")
-    points = _parse_grid(args.at) if args.at else None
     values = []
     if args.pair == "w-m":
-        points = [int(p) for p in (points or [1, 4, 8, 16])]
+        points = _parse_counts(args.at or "", "--at") or [1, 4, 8, 16]
         for m in points:
             values.append(
                 trs.trs_spectrum_antennas(rate, cfg.lambda_b, m, cfg.lambda_u, cfg.alpha, cfg.load_model)
             )
     else:
-        points = points or [cfg.lambda_b]
+        points = _parse_grid(args.at or "") or [cfg.lambda_b]
         for lam in points:
             values.append(
                 trs.trs_spectrum_density(
@@ -385,7 +393,7 @@ def cmd_validate(args) -> int:
             f"--n-drops must be >= 2 (a drop-level standard error needs two drops), got {args.n_drops}"
         )
     rho_values = _parse_grid(args.rho_values)
-    m_values = [int(m) for m in _parse_grid(args.m_values)]
+    m_values = _parse_counts(args.m_values, "--m-values")
     t_values = _parse_grid(args.t_values)
     lambda_u = args.lambda_u
     rows = []

@@ -130,17 +130,21 @@ def _first_column_sum(k: tuple[float, ...], p_a: float) -> float:
     The matrix (k0 + 1/p_a) I - Q is lower-triangular Toeplitz with constant
     positive diagonal, so its inverse is lower-triangular Toeplitz with
     non-negative entries and the norm equals the first-column sum, obtained
-    by forward substitution in O(M^2).
+    by forward substitution in O(M^2).  ``rev`` is ``b`` back to front, so
+    each dot product reads a contiguous slice instead of a reversed view.
     """
     d = k[0] + 1.0 / p_a
     if not d > 0.0:
         raise ArithmeticError(f"outage system lost positivity: diagonal {d}")
     m = len(k)
+    if m == 1:
+        return 1.0 / d
     b = np.empty(m)
-    b[0] = 1.0 / d
+    rev = np.empty(m)
+    b[0] = rev[m - 1] = 1.0 / d
     kv = np.asarray(k)
     for n in range(1, m):
-        b[n] = np.dot(kv[1 : n + 1], b[n - 1 :: -1]) / d
+        b[n] = rev[m - 1 - n] = np.dot(kv[1 : n + 1], rev[m - n :]) / d
     return float(b.sum())
 
 

@@ -34,12 +34,13 @@ from the start in full blocks.
 
 Coefficient tables: :func:`coefficient_table` keeps, per ``(T, alpha)``, the
 longest prefix ``k_0 .. k_{n-1}`` computed so far and extends it on demand.
-The direct-series rows of a table (``i >= 1`` at ``w <= 0.99``) share one
-argument ``w`` and hence one prefix length, so their sized first blocks are
-evaluated together as one 2-D block, one row per order; every row repeats
-the scalar expressions, so its value carries the same bits as
-:func:`coeff_k`.  Rows whose series runs past the prefix, ``k_0``, and the
-near-unit rows are evaluated one by one.
+Rows sharing a series argument share a prefix length, so their sized first
+blocks are evaluated as one 2-D block, one row per order: ``k_0`` with the
+direct rows (in ``w``) at ``w <= 0.99``, else with the connection rows (in
+``1 - w``), each then given its finish.  Every row repeats the scalar
+expressions of :func:`_row`, so it carries the bits of :func:`coeff_k`.  Only
+rows outrunning the prefix, and near-unit direct rows whose argument gets no
+sized prefix, are evaluated one by one.
 """
 
 from __future__ import annotations
@@ -229,23 +230,28 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     return (1.0 - z) ** (-a) * s
 
 
-def _coeff(i: int, threshold: float, alpha: float) -> float:
-    delta = 2.0 / alpha
-    t = threshold
-    w = t / (1.0 + t)
+def _unchanged(total: float) -> float:
+    return total
+
+
+def _row(i: int, t: float, delta: float, w: float):
+    """The series behind ``k_i`` at threshold ``t`` and ``w = t/(1+t)``.
+
+    Returns ``(x, budget, a, c, scale, finish)`` such that ``k_i`` is
+    ``finish(_series(a, 1.0, c, x, scale, budget))``.
+    """
     if i == 0:
         # k0 = delta*T/(1-delta) * 2F1(1, 1-delta; 2-delta; -T); after the
         # Pfaff map this is (delta/(1-delta)) * w * 2F1(1, 1; 2-delta; w).
         if w <= NEAR_UNIT_W:
-            return _series(1.0, 1.0, 2.0 - delta, w, delta / (1.0 - delta) * w, MAX_TERMS)
-        f1 = _series(1.0, 1.0, 1.0 + delta, 1.0 - w, 1.0, MAX_TERMS)
-        a0 = (
-            math.gamma(2.0 - delta)
-            * math.gamma(-delta)
-            / (math.gamma(1.0 - delta) ** 2)
-        )
-        b0 = math.gamma(2.0 - delta) * math.gamma(delta)
-        return delta / (1.0 - delta) * (a0 * w * f1 + b0 * (w * (1.0 + t)) ** delta)
+            return w, MAX_TERMS, 1.0, 2.0 - delta, delta / (1.0 - delta) * w, _unchanged
+
+        def finish(f1):
+            a0 = math.gamma(2.0 - delta) * math.gamma(-delta) / (math.gamma(1.0 - delta) ** 2)
+            b0 = math.gamma(2.0 - delta) * math.gamma(delta)
+            return delta / (1.0 - delta) * (a0 * w * f1 + b0 * (w * (1.0 + t)) ** delta)
+
+        return 1.0 - w, MAX_TERMS, 1.0, 1.0 + delta, 1.0, finish
     # k_i = delta*T^i/(i-delta) * 2F1(i+1, i-delta; i+1-delta; -T); folding the
     # overflow-prone T^i prefactor through the Pfaff map gives
     # (delta/(i-delta)) * w^i/(1+T) * 2F1(i+1, 1; i+1-delta; w).
@@ -255,37 +261,49 @@ def _coeff(i: int, threshold: float, alpha: float) -> float:
         # series needs only ~37/(1-w) <~ 37*i terms there, so prefer it.
         budget = MAX_TERMS if w <= NEAR_UNIT_W else MAX_TERMS_NEAR_UNIT
         scale = delta / (i - delta) * w**i / (1.0 + t)
-        return _series(i + 1.0, 1.0, i + 1.0 - delta, w, scale, budget)
-    f1 = _series(i + 1.0, 1.0, 2.0 + delta, 1.0 - w, 1.0, MAX_TERMS)
-    a_i = -(i - delta) / (1.0 + delta)
-    b_i = math.gamma(1.0 + delta) * math.exp(float(gammaln(i + 1.0 - delta) - gammaln(i + 1.0)))
-    return delta / (i - delta) * (
-        a_i * w**i * f1 / (1.0 + t) + b_i * (w * (1.0 + t)) ** delta
-    )
+        return w, budget, i + 1.0, i + 1.0 - delta, scale, _unchanged
+
+    def finish(f1):
+        a_i = -(i - delta) / (1.0 + delta)
+        b_i = math.gamma(1.0 + delta) * math.exp(float(gammaln(i + 1.0 - delta) - gammaln(i + 1.0)))
+        return delta / (i - delta) * (a_i * w**i * f1 / (1.0 + t) + b_i * (w * (1.0 + t)) ** delta)
+
+    return 1.0 - w, MAX_TERMS, i + 1.0, 2.0 + delta, 1.0, finish
+
+
+def _coeff(i: int, threshold: float, alpha: float) -> float:
+    x, budget, a, c, scale, finish = _row(i, threshold, 2.0 / alpha, threshold / (1.0 + threshold))
+    return finish(_series(a, 1.0, c, x, scale, budget))
 
 
 def _coeff_range(start: int, stop: int, threshold: float, alpha: float) -> list[float]:
     """k_start .. k_{stop-1}, each with the bits :func:`_coeff` gives it.
 
-    The direct-series rows are summed as batched sized first blocks, in
-    chunks of at most ``_BATCH_CELLS`` elements; the other rows, and any row
-    whose series outruns its block, go through :func:`_coeff`.
+    Rows sharing a series argument and budget, which fix the sized first
+    block, are summed as one batch of first blocks, in chunks of at most
+    ``_BATCH_CELLS`` elements, and each sum is then finished per row.  A row
+    outrunning its block, or a batch with no sized block, goes through
+    :func:`_coeff`.
     """
     delta = 2.0 / alpha
-    t = threshold
-    w = t / (1.0 + t)
-    batched = {}
-    if w <= NEAR_UNIT_W:
-        m = _head_terms(w, MAX_TERMS)
-        rows = max(1, _BATCH_CELLS // m)
-        for lo in range(max(start, 1), stop, rows):
-            orders = range(lo, min(lo + rows, stop))
-            a = np.arange(orders.start, orders.stop, dtype=np.float64)[:, None] + 1.0
-            scales = np.array([[delta / (i - delta) * w**i / (1.0 + t)] for i in orders])
-            for i, k in zip(orders, _head_sums(a, 1.0, a - delta, w, scales, m)):
-                if k is not None:
-                    batched[i] = k
-    return [batched[i] if i in batched else _coeff(i, t, alpha) for i in range(start, stop)]
+    w = threshold / (1.0 + threshold)
+    rows = [_row(i, threshold, delta, w) for i in range(start, stop)]
+    values = [None] * len(rows)
+    shared = {}
+    for n, row in enumerate(rows):
+        shared.setdefault(row[:2], []).append(n)
+    for (x, budget), members in shared.items():
+        m = _head_terms(x, budget)
+        if m >= min(_BLOCK, budget):
+            continue
+        per = max(1, _BATCH_CELLS // m)
+        for lo in range(0, len(members), per):
+            chunk = members[lo : lo + per]
+            a, c, scales = np.array([rows[n][2:5] for n in chunk]).T[:, :, None]
+            for n, total in zip(chunk, _head_sums(a, 1.0, c, x, scales, m)):
+                if total is not None:
+                    values[n] = rows[n][5](total)
+    return [_coeff(start + n, threshold, alpha) if k is None else k for n, k in enumerate(values)]
 
 
 def _check_domain(threshold: float, alpha: float) -> None:

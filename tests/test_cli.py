@@ -493,3 +493,35 @@ class TestUnparsableList:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert "error: cannot parse the list" in err
+
+
+class TestCountLists:
+    """Antenna-count lists take whole numbers; anything else is a bad flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["validate", "--rho-values", "1", "--m-values", "1.5", "--t-values", "1",
+              "--n-drops", "4", "--n-fading", "4"], "--m-values"),
+            (["validate", "--rho-values", "1", "--m-values", "nan", "--t-values", "1",
+              "--n-drops", "4", "--n-fading", "4"], "--m-values"),
+            (["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1.5,4"], "--at"),
+        ],
+        ids=["validate-fraction", "validate-nan", "trs-fraction"],
+    )
+    def test_exit_2_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"error: {flag} takes whole numbers" in err
+
+    def test_whole_counts_keep_their_output(self, capsys):
+        # stdout recorded before the counts were checked
+        code, out, _ = run(["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1,4,8,16"], capsys)
+        assert code == 0
+        assert out == (
+            "point,trs,units,step_policy,note\n"
+            "1,0.052449634846347654,antennas_per_mhz,forward-unit-step dM=1,\n"
+            "4,0.35671578506380863,antennas_per_mhz,forward-unit-step dM=1,\n"
+            "8,0.9645066070352474,antennas_per_mhz,forward-unit-step dM=1,\n"
+            "16,2.594327337744405,antennas_per_mhz,forward-unit-step dM=1,\n"
+        )

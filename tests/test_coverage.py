@@ -59,6 +59,61 @@ class TestActiveProbability:
             active_probability(0.0)
 
 
+# float.hex of outage_probability(T, p_a, M, alpha).p_out as computed when the
+# Toeplitz solve read a reversed view of its solution on every row:
+# (alpha, T, p_a, M) -> bits.
+FROZEN_OUTAGE = {
+    (3.0, 0.1, 0.05, 1): "0x1.3cd513a2ae4c0p-7",
+    (3.0, 0.1, 0.05, 2): "0x1.488b5c6c32800p-12",
+    (3.0, 0.1, 0.05, 8): "0x1.2e1f000000000p-35",
+    (3.0, 0.1, 0.05, 64): "0x1.0000000000000p-53",
+    (3.0, 0.1, 0.6, 1): "0x1.ad8f9f63c6648p-4",
+    (3.0, 0.1, 0.6, 2): "0x1.af04772f523c0p-7",
+    (3.0, 0.1, 0.6, 8): "0x1.2ea9659800000p-24",
+    (3.0, 0.1, 0.6, 64): "0x0.0p+0",
+    (3.0, 10.0, 0.05, 1): "0x1.5b436f8a5fbaap-2",
+    (3.0, 10.0, 0.05, 2): "0x1.696c9bf4d1cf0p-3",
+    (3.0, 10.0, 0.05, 8): "0x1.afce9ed5fc4e0p-6",
+    (3.0, 10.0, 0.05, 64): "0x1.32c82271b8000p-16",
+    (3.0, 10.0, 0.6, 1): "0x1.b8780c7efed13p-1",
+    (3.0, 10.0, 0.6, 2): "0x1.8bcf56792804cp-1",
+    (3.0, 10.0, 0.6, 8): "0x1.e65d071e1633ap-2",
+    (3.0, 10.0, 0.6, 64): "0x1.9cb927170cfc0p-7",
+    (3.0, 10000.0, 0.05, 1): "0x1.f7078e602944ep-1",
+    (3.0, 10000.0, 0.05, 2): "0x1.f1261364ee00fp-1",
+    (3.0, 10000.0, 0.05, 8): "0x1.da2c81553f6a6p-1",
+    (3.0, 10000.0, 0.05, 64): "0x1.7b25109c9797dp-1",
+    (3.0, 10000.0, 0.6, 1): "0x1.ff3d818a9e179p-1",
+    (3.0, 10000.0, 0.6, 2): "0x1.febbeb9b81badp-1",
+    (3.0, 10000.0, 0.6, 8): "0x1.fcaf18f85e842p-1",
+    (3.0, 10000.0, 0.6, 64): "0x1.f2a59c55a435ep-1",
+    (4.0, 0.1, 0.05, 1): "0x1.3bd6f93900000p-8",
+    (4.0, 0.1, 0.05, 2): "0x1.655d77d7b0000p-13",
+    (4.0, 0.1, 0.05, 8): "0x1.71b8000000000p-36",
+    (4.0, 0.1, 0.05, 64): "0x0.0p+0",
+    (4.0, 0.1, 0.6, 1): "0x1.c1e8a420d0980p-5",
+    (4.0, 0.1, 0.6, 2): "0x1.2e0f23d971400p-8",
+    (4.0, 0.1, 0.6, 8): "0x1.0b98638000000p-28",
+    (4.0, 0.1, 0.6, 64): "0x1.0000000000000p-52",
+    (4.0, 10.0, 0.05, 1): "0x1.553ec27398358p-3",
+    (4.0, 10.0, 0.05, 2): "0x1.4d73961dbed08p-4",
+    (4.0, 10.0, 0.05, 8): "0x1.d23e4108dcd40p-7",
+    (4.0, 10.0, 0.05, 64): "0x1.77e3d6d370000p-17",
+    (4.0, 10.0, 0.6, 1): "0x1.6960f977f569dp-1",
+    (4.0, 10.0, 0.6, 2): "0x1.2823803517066p-1",
+    (4.0, 10.0, 0.6, 8): "0x1.0d201e9832b3ep-2",
+    (4.0, 10.0, 0.6, 64): "0x1.98859da139800p-10",
+    (4.0, 10000.0, 0.05, 1): "0x1.c5d83187c8d1ap-1",
+    (4.0, 10000.0, 0.05, 2): "0x1.abe788b7ad719p-1",
+    (4.0, 10000.0, 0.05, 8): "0x1.64a4fcbe8d0a9p-1",
+    (4.0, 10000.0, 0.05, 64): "0x1.a1ef9d61efc52p-2",
+    (4.0, 10000.0, 0.6, 1): "0x1.fa97291e7aaa8p-1",
+    (4.0, 10000.0, 0.6, 2): "0x1.f7e5aaec7e382p-1",
+    (4.0, 10000.0, 0.6, 8): "0x1.ef1d07799e2c5p-1",
+    (4.0, 10000.0, 0.6, 64): "0x1.d07f4c7b1726cp-1",
+}
+
+
 class TestOutage:
     def test_single_antenna_matches_scalar_form(self):
         for t in np.geomspace(1e-3, 1e3, 20):
@@ -123,6 +178,13 @@ class TestOutage:
             outage_probability(1.0, 1.2, 1, 4.0)
         with pytest.raises(ConfigError):
             outage_probability(-1.0, 0.5, 1, 4.0)
+
+    def test_frozen_bits(self):
+        got = {
+            (alpha, t, p_a, m): outage_probability(t, p_a, m, alpha).p_out.hex()
+            for alpha, t, p_a, m in FROZEN_OUTAGE
+        }
+        assert got == FROZEN_OUTAGE
 
 
 class TestSpectralEfficiency:

@@ -298,6 +298,29 @@ class TestFrozenBits:
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
 
+    @pytest.mark.parametrize("key, first", [((1e4, 4.0), 1), ((1e4, 4.0), 2), ((2.0, 3.5), 1)])
+    def test_grown_tables_keep_bits(self, fresh_tables, key, first):
+        # the extension batches k_1.. without k_0, or from k_2 on
+        size, bits = FROZEN_TABLES[key]
+        coefficient_table(first, *key)
+        values = coefficient_table(size, *key).values
+        assert [values[i].hex() for i in bits] == list(bits.values())
+
+    @pytest.mark.parametrize("key, size", [((1e4, 4.0), 4), ((2.0, 3.5), 1)])
+    def test_batched_rows_make_no_scalar_call(self, fresh_tables, monkeypatch, key, size):
+        # k_0 joins the connection rows at w = 0.9999 and the direct rows at w = 2/3
+        scalar_calls = []
+        coeff = hypergeom._coeff
+
+        def counted(i, threshold, alpha):
+            scalar_calls.append(i)
+            return coeff(i, threshold, alpha)
+
+        monkeypatch.setattr(hypergeom, "_coeff", counted)
+        values = coefficient_table(size, *key).values
+        assert scalar_calls == []
+        assert [v.hex() for v in values] == [FROZEN_TABLES[key][1][i] for i in range(size)]
+
     def test_growth_order_does_not_change_tables(self, monkeypatch):
         tables = {}
         for order in ((3, 8), (8, 3)):
