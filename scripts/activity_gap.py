@@ -8,6 +8,7 @@ with independent thinning on common random numbers, and report the paired gap.
 import argparse
 import sys
 
+from trs_planner.cli import _parse_grid
 from trs_planner.coverage import ConfigError, NetworkConfig, outage_probability, active_probability
 from trs_planner.montecarlo import McConfig, activity_gap_report, recommended_window
 
@@ -21,13 +22,17 @@ def main():
     parser.add_argument("--n-fading", type=int, default=120)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.n_drops < 2:
+        raise ConfigError(
+            f"--n-drops must be >= 2 (the gap's standard error needs two drops), got {args.n_drops}"
+        )
+    rho_values = _parse_grid(args.rho_values)
 
     print(
         f"{'rho':>6s} {'analytic':>9s} {'thinning':>9s} {'voronoi':>9s} "
         f"{'gap':>9s} {'3se(gap)':>9s}"
     )
-    for tok in args.rho_values.split(","):
-        rho = float(tok)
+    for rho in rho_values:
         lam_b = rho * args.lambda_u
         net = NetworkConfig(lambda_b=lam_b, lambda_u=args.lambda_u, antennas=1)
         cfg = McConfig(

@@ -6,7 +6,9 @@ Dense scenario:  lambda_u=100, lambda_b=1000, 420 Mbps per user.
 """
 
 import argparse
+import sys
 
+from trs_planner.coverage import ConfigError
 from trs_planner.trs import trs_spectrum_antennas, trs_spectrum_density
 
 ANTENNA_TABLE = {
@@ -42,4 +44,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        sys.exit(2)

@@ -4,9 +4,11 @@ spectrum/density figures: basic service, doubled rate, doubled usage, for
 the sparse and dense scenarios.  One CSV per (figure, curve)."""
 
 import argparse
+import sys
 from pathlib import Path
 
 from trs_planner.cli import curve_csv
+from trs_planner.coverage import ConfigError
 from trs_planner.trs import indifference_curve, log_grid
 
 SCENARIOS = {
@@ -52,4 +54,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        sys.exit(2)

@@ -416,9 +416,7 @@ def cmd_validate(args) -> int:
             p_a = coverage.active_probability(rho)
             for t in t_values:
                 est = montecarlo.outage_from_samples(samples, t, mc_cfg)
-                analytic = coverage.outage_probability(
-                    t, p_a, m, args.alpha + args.inject_alpha_offset
-                ).p_out
+                analytic = coverage.outage_probability(t, p_a, m, args.alpha).p_out
                 tol = max(3.0 * est.std_error, 0.01)
                 diff = abs(est.mean - analytic)
                 ok = diff <= tol
@@ -519,9 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--lambda-u", type=float, default=100.0, dest="lambda_u")
     p_val.add_argument("--alpha", type=float, default=4.0)
     p_val.add_argument("--window-factor", type=float, default=20.0, dest="window_factor")
-    p_val.add_argument("--inject-alpha-offset", type=float, default=0.0,
-                       dest="inject_alpha_offset",
-                       help="test hook: offset the analytic alpha to force disagreement")
     p_val.add_argument("--output", choices=("csv", "json"), default="csv")
     p_val.add_argument("--out", default=None)
     p_val.set_defaults(func=cmd_validate)

@@ -1,46 +1,43 @@
-"""Gauss hypergeometric evaluation for SIR-distribution coefficients.
+"""Interference-distribution coefficients k_i(T, alpha) by hypergeometric series.
 
-The interference analysis needs ``2F1(a, b; c; z)`` at non-positive real
-arguments ``z = -T`` where ``T`` is a linear SINR threshold spanning several
-decades.  The defining series diverges for ``|z| > 1``, so every evaluation
-first applies the Pfaff map
+Each coefficient is a closed-form prefactor times ``2F1(a, b; c; -T)``, where
+``T`` is a linear SINR threshold spanning several decades.  The defining
+series diverges for ``T > 1``, so every row is first mapped by Pfaff
 
-    w = z / (z - 1) in [0, 1),    2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; w)
+    w = T / (1 + T) in [0, 1),    2F1(a, b; c; -T) = (1+T)^(-a) 2F1(a, c-b; c; w)
 
 which, for the coefficient families used here, turns one numerator parameter
 into 1 and yields a series of non-negative terms (no cancellation).
+:func:`_row` gives the mapped series of each order and its finish.
 
-Near-unit-argument handling: as ``z -> -inf`` the mapped argument ``w``
-approaches 1 and the transformed series needs O(1/(1-w)) terms.  Beyond
-``w > 0.99`` evaluation switches to the standard connection formula in powers
-of ``1 - w`` (valid because ``c - a - b`` is never an integer for the
-coefficient families), which converges in a few dozen terms for any ``T``.
-The connection formula itself loses accuracy for high coefficient order
-``i`` when ``i * (1 - w)`` is large; in that regime the direct transformed
-series is short relative to ``i`` and is used instead, keeping all paths
-accurate to ~1e-13 relative.  A plain large-budget series is the fallback
-for parameter combinations the connection formula cannot serve.
+Near-unit-argument handling: as ``T -> inf`` the mapped argument ``w``
+approaches 1 and the series needs O(1/(1-w)) terms.  Beyond ``w > 0.99`` a
+row switches to the connection formula in powers of ``1 - w`` (valid because
+``c - a - b`` is never an integer for the coefficient families), which
+converges in a few dozen terms for any ``T``.  The connection formula loses
+accuracy for high order ``i`` when ``i * (1 - w)`` is large; in that regime
+the direct series is short relative to ``i`` and is used instead, keeping
+every row accurate to ~1e-13 relative.
 
-Sized first block: a series is summed in numpy blocks of ``_BLOCK`` terms,
-but most stop after a few dozen.  The first block is therefore tried as a
-prefix of ``16 + 40/(1-w)`` terms (a series whose term ratio tends to ``w``
-falls below the stop tolerance after about ``37/(1-w)`` terms).  When the
-stop window lands inside that prefix the result is the one the full block
-gives, bit for bit, because the block is prefix-stable: each ratio is an
-elementwise IEEE operation, ``cumprod`` and ``cumsum`` run sequentially, the
-stop is the first window, and the summed slice has the same length and
-values.  When it does not, the prefix is discarded and the series is summed
-from the start in full blocks.
+Summation: :func:`_series` is the reference loop, summing full numpy blocks
+of ``_BLOCK`` terms until the first window of small terms.  Most rows stop
+after a few dozen terms, so :func:`_coeff_range` first sums each row as a
+sized first block of ``16 + 40/(1-w)`` terms (a series whose term ratio
+tends to ``w`` falls below the stop tolerance after about ``37/(1-w)``
+terms).  Rows sharing a series argument share that length and are evaluated
+as one 2-D block, one row per order: ``k_0`` with the direct rows (in ``w``)
+at ``w <= 0.99``, else with the connection rows (in ``1 - w``), each then
+given its finish.  When a row's stop window lands inside the block its sum is
+the one :func:`_series` gives, bit for bit, because the block is
+prefix-stable: each ratio is an elementwise IEEE operation, ``cumprod`` and
+``cumsum`` run sequentially, the stop is the first window, and the summed
+slice has the same length and values.  A row outrunning the block, and a
+near-unit direct row whose argument gets no sized block, is summed by
+:func:`_series`.
 
 Coefficient tables: :func:`coefficient_table` keeps, per ``(T, alpha)``, the
 longest prefix ``k_0 .. k_{n-1}`` computed so far and extends it on demand.
-Rows sharing a series argument share a prefix length, so their sized first
-blocks are evaluated as one 2-D block, one row per order: ``k_0`` with the
-direct rows (in ``w``) at ``w <= 0.99``, else with the connection rows (in
-``1 - w``), each then given its finish.  Every row repeats the scalar
-expressions of :func:`_row`, so it carries the bits of :func:`coeff_k`.  Only
-rows outrunning the prefix, and near-unit direct rows whose argument gets no
-sized prefix, are evaluated one by one.
+:func:`coeff_k` computes its one row the same way, uncached.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln
 
 MAX_TERMS = 100_000
 MAX_TERMS_NEAR_UNIT = 2_000_000
@@ -135,16 +132,11 @@ def _series(a, b, c, w, scale, max_terms):
     ``t_{n+1} = t_n * (a+n)(b+n) / ((c+n)(n+1)) * w`` starting from
     ``t_0 = scale``; blocks are accumulated with Neumaier compensation.
     Stops once _CONSECUTIVE_SMALL consecutive terms fall below
-    ``_STOP_REL`` times the running partial sum.  The first block is tried
-    at its sized length first (see the module docstring).
+    ``_STOP_REL`` times the running partial sum.  This is the reference loop
+    whose bits the batched first blocks of :func:`_coeff_range` reproduce.
     """
     if scale == 0.0 or w == 0.0:
         return scale
-    head = _head_terms(w, max_terms)
-    if head < min(_BLOCK, max_terms):
-        total = _head_sums(a, b, c, w, np.full((1, 1), scale), head)[0]
-        if total is not None:
-            return total
     total = scale
     comp = 0.0
     term = scale
@@ -178,56 +170,6 @@ def _series(a, b, c, w, scale, max_terms):
             run = 0
         n += m
     raise HypergeometricError("series did not converge within budget", a, b, c, w)
-
-
-def _connection(a, b, c, w, max_terms):
-    """2F1(a, b; c; w) for w near 1 via the 1-w connection formula.
-
-    Requires c - a - b non-integer.  Both sub-series run in powers of
-    ``x = 1 - w`` and converge quickly when w > NEAR_UNIT_W.
-    """
-    x = 1.0 - w
-    s = c - a - b
-    coef1 = gammasgn(c) * gammasgn(s) * gammasgn(c - a) * gammasgn(c - b) * math.exp(
-        float(gammaln(c) + gammaln(s) - gammaln(c - a) - gammaln(c - b))
-    )
-    coef2 = gammasgn(c) * gammasgn(-s) * gammasgn(a) * gammasgn(b) * math.exp(
-        float(gammaln(c) + gammaln(-s) - gammaln(a) - gammaln(b))
-    )
-    f1 = _series(a, b, a + b - c + 1.0, x, 1.0, max_terms)
-    f2 = _series(c - a, c - b, s + 1.0, x, 1.0, max_terms)
-    return coef1 * f1 + coef2 * x**s * f2
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Evaluate 2F1(a, b; c; z) for real parameters and z <= 0.
-
-    The argument is mapped to w = z/(z-1) in [0, 1) before summation, so the
-    result stays accurate as z -> -inf (see module docstring for the
-    near-unit handling).  Raises HypergeometricError if no strategy
-    converges within its iteration budget, and ValueError for arguments
-    outside the supported domain.
-    """
-    if z > 0.0:
-        raise ValueError(f"argument must satisfy z <= 0, got {z}")
-    if c <= 0.0 and float(c).is_integer():
-        raise ValueError(f"c must not be a non-positive integer, got {c}")
-    if z == 0.0:
-        return 1.0
-    w = z / (z - 1.0)
-    try:
-        if w <= NEAR_UNIT_W:
-            s = _series(a, c - b, c, w, 1.0, MAX_TERMS)
-        else:
-            # a-side Pfaff turned (a, b; c) into (a, c-b; c); its 1-w exponent
-            # is c - a - (c - b) = b - a.
-            if abs((b - a) - round(b - a)) > 1e-9:
-                s = _connection(a, c - b, c, w, MAX_TERMS)
-            else:
-                s = _series(a, c - b, c, w, 1.0, MAX_TERMS_NEAR_UNIT)
-    except HypergeometricError as err:
-        raise HypergeometricError("2F1 evaluation failed", a, b, c, z) from err
-    return (1.0 - z) ** (-a) * s
 
 
 def _unchanged(total: float) -> float:
@@ -271,19 +213,14 @@ def _row(i: int, t: float, delta: float, w: float):
     return 1.0 - w, MAX_TERMS, i + 1.0, 2.0 + delta, 1.0, finish
 
 
-def _coeff(i: int, threshold: float, alpha: float) -> float:
-    x, budget, a, c, scale, finish = _row(i, threshold, 2.0 / alpha, threshold / (1.0 + threshold))
-    return finish(_series(a, 1.0, c, x, scale, budget))
-
-
 def _coeff_range(start: int, stop: int, threshold: float, alpha: float) -> list[float]:
-    """k_start .. k_{stop-1}, each with the bits :func:`_coeff` gives it.
+    """k_start .. k_{stop-1} at (threshold, alpha).
 
     Rows sharing a series argument and budget, which fix the sized first
     block, are summed as one batch of first blocks, in chunks of at most
     ``_BATCH_CELLS`` elements, and each sum is then finished per row.  A row
-    outrunning its block, or a batch with no sized block, goes through
-    :func:`_coeff`.
+    outrunning its block, or a batch with no sized block, is summed by
+    :func:`_series`, with the same bits.
     """
     delta = 2.0 / alpha
     w = threshold / (1.0 + threshold)
@@ -303,7 +240,10 @@ def _coeff_range(start: int, stop: int, threshold: float, alpha: float) -> list[
             for n, total in zip(chunk, _head_sums(a, 1.0, c, x, scales, m)):
                 if total is not None:
                     values[n] = rows[n][5](total)
-    return [_coeff(start + n, threshold, alpha) if k is None else k for n, k in enumerate(values)]
+    for n, (x, budget, a, c, scale, finish) in enumerate(rows):
+        if values[n] is None:
+            values[n] = finish(_series(a, 1.0, c, x, scale, budget))
+    return values
 
 
 def _check_domain(threshold: float, alpha: float) -> None:
@@ -322,11 +262,12 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
 
     ``k_0`` scales the Rayleigh (single-antenna) outage; the higher orders
     fill the lower-triangular Toeplitz system used for multi-antenna outage.
+    Computed as the one-row :func:`_coeff_range`, bypassing the table cache.
     """
     if i < 0 or int(i) != i:
         raise ValueError(f"coefficient order must be a non-negative integer, got {i}")
     _check_domain(threshold, alpha)
-    return _coeff(int(i), float(threshold), float(alpha))
+    return _coeff_range(int(i), int(i) + 1, float(threshold), float(alpha))[0]
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,8 @@ def log_grid(lo: float, hi: float, points: int = 64):
     """Default curve grid: log-spaced, endpoints included."""
     if lo <= 0 or hi <= lo:
         raise ConfigError(f"grid bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if points < 1:
+        raise ConfigError(f"grid points must be >= 1, got {points}")
     return list(np.geomspace(lo, hi, points))
 
 

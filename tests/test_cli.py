@@ -143,6 +143,14 @@ class TestCurve:
         header, rows = cli.read_csv(path.read_text())
         assert header == ["axis1", "axis2", "feasible"] and len(rows) == 2
 
+    def test_negative_grid_points_exit_2(self, capsys):
+        code, out, err = run(
+            ["curve", "--scenario", "sparse", "--pair", "w-density", "--grid-points", "-1"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "points" in err
+
 
 class TestTrsCommand:
     def test_antenna_table(self, capsys):
@@ -204,8 +212,15 @@ class TestValidate:
         assert header[-1] == "pass" and len(rows) == 2
         assert all(row[-1] is True for row in rows)
 
-    def test_negative_control_fails(self, capsys):
-        code, out, _ = run(self.ARGS + ["--inject-alpha-offset", "0.8"], capsys)
+    def test_negative_control_fails(self, capsys, monkeypatch):
+        # the analytic side evaluated at alpha + 0.8 must disagree with the MC side
+        outage = cli.coverage.outage_probability
+
+        def offset(t, p_a, m, alpha):
+            return outage(t, p_a, m, alpha + 0.8)
+
+        monkeypatch.setattr(cli.coverage, "outage_probability", offset)
+        code, out, _ = run(self.ARGS, capsys)
         assert code == 1
         _, rows = cli.read_csv(out)
         assert any(row[-1] is False for row in rows)

@@ -162,6 +162,11 @@ class TestIndifferenceCurve:
         with pytest.raises(ConfigError):
             indifference_curve(15.0, 100.0, "nope", [1.0], antennas=1)
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_log_grid_needs_a_point(self, points):
+        with pytest.raises(ConfigError, match="points"):
+            log_grid(1.0, 10.0, points)
+
 
 class TestTrsValues:
     def test_antenna_trs_positive_and_increasing(self):
