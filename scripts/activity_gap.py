@@ -22,10 +22,6 @@ def main():
     parser.add_argument("--n-fading", type=int, default=120)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.n_drops < 2:
-        raise ConfigError(
-            f"--n-drops must be >= 2 (the gap's standard error needs two drops), got {args.n_drops}"
-        )
     rho_values = _parse_grid(args.rho_values)
 
     print(

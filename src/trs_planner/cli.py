@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import coverage, montecarlo, trs
 from .coverage import ConfigError, LoadModel, NetworkConfig, QuadratureError
-from .hypergeom import HypergeometricError
 from .montecarlo import ActivityModel, McConfig
 
 EXIT_OK = 0
@@ -25,11 +25,17 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 
+
+def _bandwidth(value: str):
+    """A scenario bandwidth: a number of MHz, or "auto" to solve it for the demand."""
+    return "auto" if value.strip().lower() == "auto" else float(value)
+
+
 SCENARIO_KEYS = {
     "lambda_b": float,
     "lambda_u": float,
     "antennas": int,
-    "bandwidth_mhz": str,  # number or "auto"
+    "bandwidth_mhz": _bandwidth,
     "alpha": float,
     "noise_power": float,
     "tx_power": float,
@@ -68,8 +74,9 @@ class Scenario:
         unknown = set(fields) - set(SCENARIO_KEYS)
         if unknown:
             raise ConfigError(f"scenario {name!r} has unknown keys: {sorted(unknown)}")
-        if "target_rate_mbps" not in fields:
-            raise ConfigError(f"scenario {name!r} is missing target_rate_mbps")
+        for key in ("lambda_b", "lambda_u", "target_rate_mbps"):
+            if key not in fields:
+                raise ConfigError(f"scenario {name!r} is missing {key}")
         self.target_rate_mbps = float(fields["target_rate_mbps"])
         if self.target_rate_mbps <= 0:
             raise ConfigError(f"scenario {name!r}: target_rate_mbps must be positive")
@@ -77,7 +84,7 @@ class Scenario:
         if self.max_antennas < 1:
             raise ConfigError(f"scenario {name!r}: max_antennas must be >= 1, got {self.max_antennas}")
         raw_w = fields.get("bandwidth_mhz", "auto")
-        self._auto_bandwidth = isinstance(raw_w, str) and raw_w.strip().lower() == "auto"
+        self._auto_bandwidth = raw_w == "auto"
         load = fields.get("load_model", "mean-load")
         try:
             load_model = LoadModel(load)
@@ -152,10 +159,6 @@ def parse_scenario_text(text: str) -> dict[str, Scenario]:
     return {name: Scenario(name, fields) for name, fields in groups.items()}
 
 
-def load_scenarios(path) -> dict[str, Scenario]:
-    return parse_scenario_text(Path(path).read_text())
-
-
 def builtin_scenario(name: str) -> Scenario:
     try:
         return Scenario(name, dict(BUILTIN_SCENARIOS[name]))
@@ -166,10 +169,12 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip text for CSV cells."""
+    """Shortest round-trip text for CSV cells; a non-finite number raises ValueError (exit 3)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not CSV compliant: {value!r}")
         return repr(value)
     return str(value)
 
@@ -223,7 +228,7 @@ def _write(text: str, out_path):
 
 def _scenario_from_args(args) -> Scenario:
     if getattr(args, "file", None):
-        table = load_scenarios(args.file)
+        table = parse_scenario_text(Path(args.file).read_text())
         name = args.scenario or (next(iter(table)) if len(table) == 1 else None)
         if name is None:
             raise ConfigError(
@@ -319,7 +324,7 @@ def cmd_curve(args) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
     elif args.pair == "w-m":
-        grid = list(range(args.grid_min_int, args.grid_max_int + 1))
+        grid = list(range(1, 17))
     else:
         grid = trs.log_grid(args.grid_min, args.grid_max, args.grid_points)
     curve = trs.indifference_curve(
@@ -388,13 +393,11 @@ def cmd_trs(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.n_drops < 2:
-        raise ConfigError(
-            f"--n-drops must be >= 2 (a drop-level standard error needs two drops), got {args.n_drops}"
-        )
     rho_values = _parse_grid(args.rho_values)
     m_values = _parse_counts(args.m_values, "--m-values")
     t_values = _parse_grid(args.t_values)
+    if not (rho_values and m_values and t_values):
+        raise ConfigError("validate needs a value in each of --rho-values, --m-values and --t-values")
     lambda_u = args.lambda_u
     rows = []
     all_pass = True
@@ -489,12 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="indifference curve tracing")
     add_config_flags(p_curve)
     p_curve.add_argument("--pair", choices=("w-m", "w-density"), required=True)
-    p_curve.add_argument("--grid", help="explicit comma-separated axis-1 grid")
+    p_curve.add_argument("--grid", help="comma-separated axis-1 grid (w-m default: 1..16)")
     p_curve.add_argument("--grid-min", type=float, default=1.0)
     p_curve.add_argument("--grid-max", type=float, default=100.0)
     p_curve.add_argument("--grid-points", type=int, default=64)
-    p_curve.add_argument("--grid-min-int", type=int, default=1)
-    p_curve.add_argument("--grid-max-int", type=int, default=16)
     p_curve.add_argument("--output", choices=("csv", "json"), default="csv")
     p_curve.set_defaults(func=cmd_curve)
 
@@ -541,7 +542,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (HypergeometricError, QuadratureError, ArithmeticError, ValueError) as err:
+    except (QuadratureError, ArithmeticError, ValueError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -161,8 +161,7 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
         raise ConfigError(f"active probability must lie in (0, 1], got {p_a}")
     if int(antennas) != antennas or antennas < 1:
         raise ConfigError(f"antennas must be an integer >= 1, got {antennas}")
-    table = coefficient_table(int(antennas), threshold, alpha)
-    norm = _first_column_sum(table.values, p_a)
+    norm = _first_column_sum(coefficient_table(int(antennas), threshold, alpha), p_a)
     p_out = 1.0 - norm / p_a
     if p_out < -1e-9 or p_out > 1.0 + 1e-9:
         raise ArithmeticError(
@@ -220,10 +219,8 @@ def spectral_efficiency(p_a: float, antennas: int, alpha: float, abs_tol: float 
     return mean_log2_sinr(p_a, antennas, alpha, abs_tol=abs_tol)
 
 
-def mean_load_share(config: NetworkConfig, p_a: float | None = None) -> float:
-    """Average round-robin bandwidth fraction a user receives."""
-    if p_a is None:
-        p_a = active_probability(config.rho)
+def mean_load_share(config: NetworkConfig, p_a: float) -> float:
+    """Average round-robin bandwidth fraction a user receives at activity ``p_a``."""
     if config.load_model is LoadModel.NO_SHARING:
         return 1.0
     return min(1.0, p_a * config.lambda_b / config.lambda_u)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -270,18 +269,6 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     return _coeff_range(int(i), int(i) + 1, float(threshold), float(alpha))[0]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficients k_0 .. k_{M-1} for one (threshold, alpha) pair."""
-
-    threshold: float
-    alpha: float
-    values: tuple[float, ...]
-
-    def __len__(self):
-        return len(self.values)
-
-
 class _TableCache:
     """Longest known coefficient table per (threshold, alpha).
 
@@ -291,18 +278,18 @@ class _TableCache:
 
     def __init__(self, max_coeffs: int):
         self._max_coeffs = max_coeffs
-        self._tables: dict[tuple[float, float], CoefficientTable] = {}
+        self._tables: dict[tuple[float, float], tuple[float, ...]] = {}
         self._held = 0
         self._lock = threading.Lock()
 
-    def get(self, key) -> CoefficientTable | None:
+    def get(self, key) -> tuple[float, ...] | None:
         with self._lock:
             table = self._tables.pop(key, None)
             if table is not None:
                 self._tables[key] = table
             return table
 
-    def put(self, key, table: CoefficientTable) -> None:
+    def put(self, key, table: tuple[float, ...]) -> None:
         with self._lock:
             self._held += len(table) - len(self._tables.pop(key, ()))
             self._tables[key] = table
@@ -313,17 +300,14 @@ class _TableCache:
 _tables = _TableCache(_TABLE_CACHE_COEFFS)
 
 
-def coefficient_table(size: int, threshold: float, alpha: float) -> CoefficientTable:
-    """Table of the first ``size`` coefficients at (threshold, alpha)."""
+def coefficient_table(size: int, threshold: float, alpha: float) -> tuple[float, ...]:
+    """The first ``size`` coefficients k_0 .. k_{size-1} at (threshold, alpha)."""
     if size < 1:
         raise ValueError(f"table size must be >= 1, got {size}")
     _check_domain(threshold, alpha)
     key = (float(threshold), float(alpha))
-    table = _tables.get(key)
-    known = () if table is None else table.values
-    if len(known) < size:
-        table = CoefficientTable(*key, known + tuple(_coeff_range(len(known), size, *key)))
+    table = _tables.get(key) or ()
+    if len(table) < size:
+        table += tuple(_coeff_range(len(table), size, *key))
         _tables.put(key, table)
-    if len(table) > size:
-        table = CoefficientTable(*key, table.values[:size])
-    return table
+    return table[:size]

@@ -16,11 +16,12 @@ quantifies the difference with common random numbers.
 Reproducibility: every drop draws from Philox substreams keyed by
 ``(seed, drop index, purpose)``, so results are bit-identical for a given
 (seed, config) regardless of how many worker threads execute the drops.
+``TRS_PLANNER_THREADS`` caps that count (0 or unset: one per CPU, at most 8).
 
 Shared drops: a drop's stations, activity and interference do not depend on
 the antenna count, and they cost nearly all of its time.  ``sinr_samples``
 keeps that part of the last two runs, keyed by the config with its antenna
-count normalised to 1 and by the worker count, together with the fade
+count normalised to 1 and by the worker-thread count, together with the fade
 stream's Philox state right after the interference draw.  Another antenna
 count, or another threshold on the same config, then only draws the desired
 gains, from a generator restored to that state.  The restored generator
@@ -68,8 +69,9 @@ class McConfig:
             raise ConfigError(f"window_radius must be finite, got {self.window_radius}")
         if self.window_radius <= 0.0:
             raise ConfigError(f"window_radius must be positive, got {self.window_radius}")
-        if self.n_drops < 1 or int(self.n_drops) != self.n_drops:
-            raise ConfigError(f"n_drops must be an integer >= 1, got {self.n_drops}")
+        # a drop-level standard error needs two drops
+        if self.n_drops < 2 or int(self.n_drops) != self.n_drops:
+            raise ConfigError(f"n_drops must be an integer >= 2, got {self.n_drops}")
         if self.n_fading_per_drop < 1 or int(self.n_fading_per_drop) != self.n_fading_per_drop:
             raise ConfigError(f"n_fading_per_drop must be >= 1, got {self.n_fading_per_drop}")
         if self.seed < 0 or int(self.seed) != self.seed:
@@ -123,19 +125,16 @@ class McEstimate:
     annotations: tuple[str, ...] = ()
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker-thread count: explicit argument, else the env cap, else auto."""
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "0")
-        try:
-            workers = int(raw)
-        except ValueError as err:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from err
+def resolve_workers() -> int:
+    """Worker-thread count: the ``TRS_PLANNER_THREADS`` cap, or auto when 0 or unset."""
+    raw = os.environ.get(THREADS_ENV_VAR, "0")
+    try:
+        workers = int(raw)
+    except ValueError as err:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from err
     if workers < 0:
-        raise ConfigError(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        workers = min(os.cpu_count() or 1, 8)
-    return workers
+        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 0, got {workers}")
+    return workers or min(os.cpu_count() or 1, 8)
 
 
 def _drop_streams(seed: int, drop: int):
@@ -156,10 +155,10 @@ class SinrSamples:
     annotations: tuple[str, ...]
 
 
-def _map_drops(one_drop, n_drops: int, workers: int | None) -> list:
+def _map_drops(one_drop, n_drops: int) -> list:
     """``one_drop(d)`` for every drop index in order, on worker threads if allowed."""
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and n_drops > 1:
+    n_workers = resolve_workers()
+    if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(one_drop, range(n_drops)))
     return [one_drop(d) for d in range(n_drops)]
@@ -256,22 +255,22 @@ class _SharedKey:
     cfg: McConfig = field(compare=False)
 
     @classmethod
-    def of(cls, cfg: McConfig, workers: int | None) -> "_SharedKey":
+    def of(cls, cfg: McConfig) -> "_SharedKey":
         config = (
             cfg.network.with_(antennas=1), cfg.window_radius, cfg.n_drops,
             cfg.n_fading_per_drop, cfg.seed, cfg.activity_model,
         )
-        return cls(config, resolve_workers(workers), cfg)
+        return cls(config, resolve_workers(), cfg)
 
 
 @lru_cache(maxsize=2)
 def _shared_drops(key: _SharedKey) -> list:
-    return _map_drops(partial(_drop_interference, key.cfg), key.cfg.n_drops, key.workers)
+    return _map_drops(partial(_drop_interference, key.cfg), key.cfg.n_drops)
 
 
-def sinr_samples(cfg: McConfig, workers: int | None = None) -> SinrSamples:
+def sinr_samples(cfg: McConfig) -> SinrSamples:
     """SINR realizations for every (drop, fading) pair, deterministically."""
-    results = [_drop_sinr(cfg, shared) for shared in _shared_drops(_SharedKey.of(cfg, workers))]
+    results = [_drop_sinr(cfg, shared) for shared in _shared_drops(_SharedKey.of(cfg))]
     sinr = np.stack([res[0] for res in results])
     gain = np.stack([res[1] for res in results])
     mean_i = np.array([res[2] for res in results])
@@ -333,9 +332,9 @@ def outage_from_samples(samples: SinrSamples, threshold: float, cfg: McConfig) -
     return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
 
 
-def simulate_outage(cfg: McConfig, threshold: float, workers: int | None = None) -> McEstimate:
+def simulate_outage(cfg: McConfig, threshold: float) -> McEstimate:
     """Empirical outage probability of the typical user."""
-    return outage_from_samples(sinr_samples(cfg, workers), threshold, cfg)
+    return outage_from_samples(sinr_samples(cfg), threshold, cfg)
 
 
 def spectral_efficiency_from_samples(samples: SinrSamples, cfg: McConfig) -> McEstimate:
@@ -344,18 +343,18 @@ def spectral_efficiency_from_samples(samples: SinrSamples, cfg: McConfig) -> McE
     return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
 
 
-def simulate_spectral_efficiency(cfg: McConfig, workers: int | None = None) -> McEstimate:
-    return spectral_efficiency_from_samples(sinr_samples(cfg, workers), cfg)
+def simulate_spectral_efficiency(cfg: McConfig) -> McEstimate:
+    return spectral_efficiency_from_samples(sinr_samples(cfg), cfg)
 
 
-def simulate_desired_gain(cfg: McConfig, workers: int | None = None) -> McEstimate:
+def simulate_desired_gain(cfg: McConfig) -> McEstimate:
     """Mean MRT desired-signal gain; should sit at the antenna count."""
-    samples = sinr_samples(cfg, workers)
+    samples = sinr_samples(cfg)
     drop_means = samples.desired_gain.mean(axis=1)
     return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
 
 
-def simulate_active_probability(cfg: McConfig, workers: int | None = None) -> McEstimate:
+def simulate_active_probability(cfg: McConfig) -> McEstimate:
     """Fraction of interior stations whose Voronoi cell holds >= 1 user.
 
     Stations within one mean cell radius of the window edge are excluded:
@@ -379,7 +378,7 @@ def simulate_active_probability(cfg: McConfig, workers: int | None = None) -> Mc
         # interior station leave every other drop's draws unchanged
         return float(occupied[interior].mean()) if interior.any() else math.nan
 
-    values = np.array(_map_drops(one_drop, cfg.n_drops, workers))
+    values = np.array(_map_drops(one_drop, cfg.n_drops))
     annotations = []
     if np.isnan(values).any():
         kept = values[~np.isnan(values)]
@@ -401,7 +400,7 @@ class ActivityGapReport:
     gap: McEstimate  # voronoi minus thinning, common random numbers
 
 
-def activity_gap_report(cfg: McConfig, threshold: float, workers: int | None = None) -> ActivityGapReport:
+def activity_gap_report(cfg: McConfig, threshold: float) -> ActivityGapReport:
     """Measure the error the independent-thinning approximation introduces.
 
     Both activity models run on identical geometry and fading streams (the
@@ -410,8 +409,8 @@ def activity_gap_report(cfg: McConfig, threshold: float, workers: int | None = N
     """
     voronoi_cfg = replace(cfg, activity_model=ActivityModel.VORONOI_OCCUPANCY)
     thinning_cfg = replace(cfg, activity_model=ActivityModel.INDEPENDENT_THINNING)
-    s_vor = sinr_samples(voronoi_cfg, workers)
-    s_thin = sinr_samples(thinning_cfg, workers)
+    s_vor = sinr_samples(voronoi_cfg)
+    s_thin = sinr_samples(thinning_cfg)
     vor_drops = (s_vor.sinr < threshold).mean(axis=1)
     thin_drops = (s_thin.sinr < threshold).mean(axis=1)
     return ActivityGapReport(

@@ -127,15 +127,14 @@ def required_density(
     lambda_u: float,
     alpha: float = 4.0,
     load_model: LoadModel = LoadModel.MEAN_LOAD,
-    bracket: tuple[float, float] | None = None,
 ) -> float:
     """Station density meeting the target rate at fixed bandwidth.
 
     Bisection on the monotone map lambda_b -> rate; the bracket auto-expands
-    up to ``MAX_DENSITY_RATIO * lambda_u`` unless one is supplied.  Raises
-    InfeasibleError when no density within the bracket reaches the demand:
-    once the bandwidth share saturates the rate grows only logarithmically
-    with density, so demands can sit effectively out of reach.
+    up to ``MAX_DENSITY_RATIO * lambda_u``.  Raises InfeasibleError when no
+    density within the bracket reaches the demand: once the bandwidth share
+    saturates the rate grows only logarithmically with density, so demands
+    can sit effectively out of reach.
     """
     if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
         raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
@@ -143,29 +142,22 @@ def required_density(
     def rate(lam):
         return _rate(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
 
-    if bracket is not None:
-        lo, hi = bracket
-        if rate(lo) > target_rate_mbps or rate(hi) < target_rate_mbps:
+    cap = MAX_DENSITY_RATIO * lambda_u
+    lo = hi = lambda_u
+    while rate(hi) < target_rate_mbps:
+        if hi >= cap:
             raise InfeasibleError(
-                f"no sign change in bracket [{lo}, {hi}] for {target_rate_mbps} Mbps"
+                f"infeasible demand: {target_rate_mbps} Mbps not reached at the "
+                f"density search cap lambda_b={cap:.3g} (rate grows only "
+                "logarithmically once the bandwidth share saturates)"
             )
+        hi = min(hi * 4.0, cap)
+    for _ in range(60):
+        if rate(lo) <= target_rate_mbps:
+            break
+        lo /= 4.0
     else:
-        cap = MAX_DENSITY_RATIO * lambda_u
-        lo = hi = lambda_u
-        while rate(hi) < target_rate_mbps:
-            if hi >= cap:
-                raise InfeasibleError(
-                    f"infeasible demand: {target_rate_mbps} Mbps not reached at the "
-                    f"density search cap lambda_b={cap:.3g} (rate grows only "
-                    "logarithmically once the bandwidth share saturates)"
-                )
-            hi = min(hi * 4.0, cap)
-        for _ in range(60):
-            if rate(lo) <= target_rate_mbps:
-                break
-            lo /= 4.0
-        else:
-            raise InfeasibleError(f"demand met even at vanishing density (lambda_b={lo:.3g})")
+        raise InfeasibleError(f"demand met even at vanishing density (lambda_b={lo:.3g})")
 
     while (hi - lo) > DENSITY_REL_TOL * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)

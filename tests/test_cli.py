@@ -59,6 +59,26 @@ class TestScenarioFile:
         assert sparse.target_rate_mbps == 15.0 and sparse._base["lambda_b"] == 10.0
         assert dense.target_rate_mbps == 420.0 and dense._base["lambda_b"] == 1000.0
 
+    @pytest.mark.parametrize("dropped", ["lambda_b", "lambda_u"])
+    def test_missing_density_exit_2(self, capsys, tmp_path, dropped):
+        # ended in a KeyError traceback with exit 1
+        fields = {"lambda_b": "10", "lambda_u": "100", "target_rate_mbps": "15"}
+        del fields[dropped]
+        path = tmp_path / "f.scenario"
+        path.write_text("".join(f"x.{key} = {value}\n" for key, value in fields.items()))
+        code, out, err = run(["rate", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"error: scenario 'x' is missing {dropped}" in err
+
+    def test_unparsable_bandwidth_exit_2(self, capsys, tmp_path):
+        # exited 3 as a numeric failure
+        path = tmp_path / "f.scenario"
+        path.write_text("x.lambda_b = 10\nx.lambda_u = 100\nx.target_rate_mbps = 15\n"
+                        "x.bandwidth_mhz = abc\n")
+        code, out, err = run(["rate", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'bandwidth_mhz'" in err
+
 
 class TestRate:
     def test_json_report(self, capsys):
@@ -457,7 +477,7 @@ class TestStrictJson:
             capsys,
         )
         assert code == 2 and out == ""
-        assert "error: --n-drops must be >= 2" in err
+        assert f"error: n_drops must be an integer >= 2, got {drops}" in err
 
     def test_validate_two_drops_is_strict_json(self, capsys):
         code, out, _ = run(
@@ -475,6 +495,16 @@ class TestStrictJson:
         )
         assert code == 3 and out == ""
         assert "numeric failure" in err and "not JSON compliant" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["trs", "--scenario", "sparse", "--pair", "w-density", "--at", "10"],
+        ["curve", "--scenario", "sparse", "--pair", "w-m", "--grid", "1,2"],
+    ], ids=["trs", "curve"])
+    def test_overflowing_csv_cell_exit_3(self, capsys, argv):
+        # the overflowing bandwidth printed nan (trs) or inf (curve) with exit 0
+        code, out, err = run(argv + ["--target-rate-mbps", "1e308"], capsys)
+        assert code == 3 and out == ""
+        assert "numeric failure" in err and "not CSV compliant" in err
 
     def test_infinite_trs_keeps_its_literal(self, capsys, monkeypatch):
         import dataclasses
@@ -508,6 +538,13 @@ class TestUnparsableList:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert "error: cannot parse the list" in err
+
+    @pytest.mark.parametrize("flag", ["--rho-values", "--m-values", "--t-values"])
+    def test_empty_validate_grid_exit_2(self, capsys, flag):
+        # an empty grid checked no cell and passed with exit 0
+        code, out, err = run(["validate", "--n-drops", "2", "--n-fading", "2", flag, ","], capsys)
+        assert code == 2 and out == ""
+        assert "error: validate needs a value in each of" in err
 
 
 class TestCountLists:

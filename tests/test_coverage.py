@@ -23,13 +23,13 @@ from trs_planner.hypergeom import coefficient_table
 
 def scalar_outage(threshold, p_a, alpha):
     """Single-antenna closed form: 1 - 1/(1 + p_a k0)."""
-    k0 = coefficient_table(1, threshold, alpha).values[0]
+    k0 = coefficient_table(1, threshold, alpha)[0]
     return 1.0 - 1.0 / (1.0 + p_a * k0)
 
 
 def dense_norm(threshold, p_a, antennas, alpha):
     """L1 induced norm of the inverse via an explicit dense matrix."""
-    k = coefficient_table(antennas, threshold, alpha).values
+    k = coefficient_table(antennas, threshold, alpha)
     m = antennas
     q = np.zeros((m, m))
     for row in range(m):
@@ -250,13 +250,13 @@ class TestUserRate:
         p_a = active_probability(cfg.rho)
         expected = 10.0 * spectral_efficiency(p_a, 1, 4.0)
         assert user_rate(cfg) == pytest.approx(expected, rel=1e-12)
-        assert mean_load_share(cfg) == 1.0
+        assert mean_load_share(cfg, p_a) == 1.0
 
     def test_share_caps_at_one(self):
         # Eq-3 activity keeps p_a*rho < 1, so the cap needs an explicit p_a
         cfg = NetworkConfig(lambda_b=5000.0, lambda_u=10.0, bandwidth_mhz=1.0)
         assert mean_load_share(cfg, p_a=1.0) == 1.0
-        assert mean_load_share(cfg) < 1.0
+        assert mean_load_share(cfg, active_probability(cfg.rho)) < 1.0
 
     def test_noise_rejected_on_analytic_path(self):
         cfg = NetworkConfig(bandwidth_mhz=10.0, noise_power=0.1, **self.sparse)

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from trs_planner import hypergeom
 from trs_planner.hypergeom import (
-    CoefficientTable,
     HypergeometricError,
     _series,
     coeff_k,
@@ -148,24 +147,24 @@ class TestCoeffK:
 class TestCoefficientTable:
     def test_single_entry_closed_form(self):
         table = coefficient_table(1, 1.0, 4.0)
-        assert isinstance(table, CoefficientTable)
+        assert isinstance(table, tuple)
         assert len(table) == 1
-        assert table.values[0] == pytest.approx(math.pi / 4, rel=1e-12)
+        assert table[0] == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_vanishing_threshold(self):
         table = coefficient_table(3, 1e-12, 4.0)
-        assert all(abs(v) < 1e-11 for v in table.values)
+        assert all(abs(v) < 1e-11 for v in table)
 
     def test_two_entries_at_t10(self):
         table = coefficient_table(2, 10.0, 4.0)
-        assert table.values[0] == pytest.approx(K0_T10_A4, rel=1e-12)
-        assert table.values[1] == pytest.approx(K1_T10_A4, rel=1e-12)
+        assert table[0] == pytest.approx(K0_T10_A4, rel=1e-12)
+        assert table[1] == pytest.approx(K1_T10_A4, rel=1e-12)
 
     def test_length_and_prefix_stability(self):
         t8 = coefficient_table(8, 2.0, 3.5)
         t3 = coefficient_table(3, 2.0, 3.5)
         assert len(t8) == 8
-        assert t8.values[:3] == t3.values
+        assert t8[:3] == t3
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -232,7 +231,7 @@ class TestFrozenBits:
     @pytest.mark.parametrize("key", sorted(FROZEN_TABLES))
     def test_table_and_scalar_paths_keep_bits(self, fresh_tables, key):
         size, bits = FROZEN_TABLES[key]
-        values = coefficient_table(size, *key).values
+        values = coefficient_table(size, *key)
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
             assert coeff_k(i, *key).hex() == expected, i
@@ -247,7 +246,7 @@ class TestFrozenBits:
             return block(a, b, c, w, n, *args)
 
         monkeypatch.setattr(hypergeom, "_block", counted)
-        values = coefficient_table(size, *key).values
+        values = coefficient_table(size, *key)
         assert max(starts) == 3 * hypergeom._BLOCK
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
@@ -264,7 +263,7 @@ class TestFrozenBits:
         # again by _series in full blocks; row i has a = i + 1 at w <= 0.99
         monkeypatch.setattr(hypergeom, "_head_terms", lambda w, max_terms: min(24, max_terms))
         size, bits = FROZEN_TABLES[key]
-        values = coefficient_table(size, *key).values
+        values = coefficient_table(size, *key)
         assert series_calls == [i + 1.0 for i in range(size)]
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
@@ -274,13 +273,13 @@ class TestFrozenBits:
         # the extension batches k_1.. without k_0, or from k_2 on
         size, bits = FROZEN_TABLES[key]
         coefficient_table(first, *key)
-        values = coefficient_table(size, *key).values
+        values = coefficient_table(size, *key)
         assert [values[i].hex() for i in bits] == list(bits.values())
 
     @pytest.mark.parametrize("key, size", [((1e4, 4.0), 4), ((2.0, 3.5), 1)])
     def test_batched_rows_make_no_scalar_call(self, fresh_tables, series_calls, key, size):
         # k_0 joins the connection rows at w = 0.9999 and the direct rows at w = 2/3
-        values = coefficient_table(size, *key).values
+        values = coefficient_table(size, *key)
         assert series_calls == []
         assert [v.hex() for v in values] == [FROZEN_TABLES[key][1][i] for i in range(size)]
 
@@ -288,22 +287,18 @@ class TestFrozenBits:
         tables = {}
         for order in ((3, 8), (8, 3)):
             monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(1 << 10))
-            tables[order] = [coefficient_table(n, 2.0, 3.5).values for n in order]
+            tables[order] = [coefficient_table(n, 2.0, 3.5) for n in order]
         assert tables[(3, 8)] == tables[(8, 3)][::-1]
 
     def test_cache_drops_least_recently_used(self):
         cache = hypergeom._TableCache(10)
-
-        def table(key, n):
-            return CoefficientTable(key, 4.0, (1.0,) * n)
-
-        cache.put(1.0, table(1.0, 6))
-        cache.put(2.0, table(2.0, 4))
+        cache.put(1.0, (1.0,) * 6)
+        cache.put(2.0, (1.0,) * 4)
         assert len(cache.get(1.0)) == 6  # now the most recent
-        cache.put(3.0, table(3.0, 3))
+        cache.put(3.0, (1.0,) * 3)
         assert cache.get(2.0) is None
         assert cache.get(1.0) and cache.get(3.0)
-        cache.put(4.0, table(4.0, 12))  # alone above the bound, still kept
+        cache.put(4.0, (1.0,) * 12)  # alone above the bound, still kept
         assert cache.get(4.0) and cache.get(1.0) is None and cache.get(3.0) is None
 
     @pytest.mark.parametrize("threshold, alpha", [

@@ -45,15 +45,18 @@ class TestDeterminism:
         b = simulate_outage(cfg, 1.0)
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, monkeypatch):
         cfg = make_cfg(n_drops=40, n_fading=30)
-        a = simulate_outage(cfg, 1.0, workers=1)
-        b = simulate_outage(cfg, 1.0, workers=4)
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "1")
+        a = simulate_outage(cfg, 1.0)
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "4")
+        b = simulate_outage(cfg, 1.0)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_env_var_worker_cap(self, monkeypatch):
         cfg = make_cfg(n_drops=25, n_fading=20)
-        base = simulate_outage(cfg, 1.0, workers=1)
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "1")
+        base = simulate_outage(cfg, 1.0)
         monkeypatch.setenv("TRS_PLANNER_THREADS", "3")
         assert resolve_workers() == 3
         via_env = simulate_outage(cfg, 1.0)
@@ -181,13 +184,20 @@ class TestConfigValidation:
     def test_bad_fields(self):
         net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
         with pytest.raises(ConfigError):
-            McConfig(network=net, window_radius=0.0, n_drops=1, n_fading_per_drop=1, seed=0)
+            McConfig(network=net, window_radius=0.0, n_drops=2, n_fading_per_drop=1, seed=0)
         with pytest.raises(ConfigError):
             McConfig(network=net, window_radius=5.0, n_drops=0, n_fading_per_drop=1, seed=0)
         with pytest.raises(ConfigError):
-            McConfig(network=net, window_radius=5.0, n_drops=1, n_fading_per_drop=0, seed=0)
+            McConfig(network=net, window_radius=5.0, n_drops=2, n_fading_per_drop=0, seed=0)
         with pytest.raises(ConfigError):
-            McConfig(network=net, window_radius=5.0, n_drops=1, n_fading_per_drop=1, seed=-1)
+            McConfig(network=net, window_radius=5.0, n_drops=2, n_fading_per_drop=1, seed=-1)
+
+    def test_one_drop_rejected(self):
+        # a drop-level standard error needs two drops; one drop would report it as inf
+        net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
+        with pytest.raises(ConfigError, match="n_drops must be an integer >= 2, got 1"):
+            McConfig(network=net, window_radius=recommended_window(10.0), n_drops=1,
+                     n_fading_per_drop=10, seed=0)
 
     def test_noise_accepted_here(self):
         net = NetworkConfig(lambda_b=10.0, lambda_u=100.0, noise_power=0.01)
@@ -221,17 +231,19 @@ class TestFrozenBits:
         base.update(kw)
         return make_cfg(**base)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_active_probability(self, workers):
-        est = simulate_active_probability(self.voronoi_cfg(), workers=workers)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_active_probability(self, monkeypatch, threads):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
+        est = simulate_active_probability(self.voronoi_cfg())
         assert est.mean.hex() == "0x1.c56e7215dc03ep-1"
         assert est.std_error.hex() == "0x1.d6ccfc2592b72p-9"
         assert est.n_drops == 16 and est.annotations == ()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_active_probability_with_empty_drops(self, workers):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_active_probability_with_empty_drops(self, monkeypatch, threads):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
         cfg = self.voronoi_cfg(n_drops=24, seed=7, window_factor=1.5)
-        est = simulate_active_probability(cfg, workers=workers)
+        est = simulate_active_probability(cfg)
         assert est.mean.hex() == "0x1.dd75d75d75d75p-1"
         assert est.std_error.hex() == "0x1.08e511fe87370p-5"
         assert est.n_drops == 21 and est.annotations == ("3 empty drops skipped",)
@@ -249,10 +261,11 @@ class TestFrozenBits:
         ],
         ids=["voronoi", "voronoi-small-window", "thinning"],
     )
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sinr_samples(self, workers, kw, digest, p_out):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sinr_samples(self, monkeypatch, threads, kw, digest, p_out):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
         cfg = self.voronoi_cfg(**kw)
-        samples = sinr_samples(cfg, workers=workers)
+        samples = sinr_samples(cfg)
         assert _digest(samples) == digest
         if p_out is not None:
             assert outage_from_samples(samples, 1.0, cfg).mean.hex() == p_out
@@ -263,27 +276,27 @@ class TestNonFiniteConfig:
     def test_window_radius(self, radius):
         net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
         with pytest.raises(ConfigError, match="window_radius must be finite"):
-            McConfig(network=net, window_radius=radius, n_drops=1, n_fading_per_drop=1, seed=0)
+            McConfig(network=net, window_radius=radius, n_drops=2, n_fading_per_drop=1, seed=0)
 
     def test_expected_station_count_overflow(self):
         net = NetworkConfig(lambda_b=1e308, lambda_u=1e308)
         with pytest.raises(ConfigError, match="expected_stations"):
-            McConfig(network=net, window_radius=recommended_window(1e308), n_drops=1,
+            McConfig(network=net, window_radius=recommended_window(1e308), n_drops=2,
                      n_fading_per_drop=1, seed=0)
 
     def test_expected_user_count_overflow(self):
         net = NetworkConfig(lambda_b=1e8, lambda_u=1e308)
         window = recommended_window(1e8)
         with pytest.raises(ConfigError, match="expected_users"):
-            McConfig(network=net, window_radius=window, n_drops=1, n_fading_per_drop=1, seed=0,
+            McConfig(network=net, window_radius=window, n_drops=2, n_fading_per_drop=1, seed=0,
                      activity_model=ActivityModel.VORONOI_OCCUPANCY)
         # independent thinning draws no users, so the same numbers stand
-        McConfig(network=net, window_radius=window, n_drops=1, n_fading_per_drop=1, seed=0)
+        McConfig(network=net, window_radius=window, n_drops=2, n_fading_per_drop=1, seed=0)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_threshold(self, threshold):
         cfg = make_cfg(n_drops=2, n_fading=2)
-        samples = sinr_samples(cfg, workers=1)
+        samples = sinr_samples(cfg)
         with pytest.raises(ConfigError, match="threshold must be finite"):
             outage_from_samples(samples, threshold, cfg)
         with pytest.raises(ConfigError, match="threshold must be finite"):
@@ -329,29 +342,31 @@ class TestSharedDrops:
         return make_cfg(lambda_u=30.0, antennas=antennas, n_drops=16, n_fading=8, seed=seed,
                         model=model)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", list(ActivityModel), ids=lambda m: m.value)
-    def test_antenna_counts_in_sequence_match_cold_runs(self, model, workers):
+    def test_antenna_counts_in_sequence_match_cold_runs(self, monkeypatch, model, threads):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
         counts = (1, 2, 4, 8)
         montecarlo._shared_drops.cache_clear()
-        shared = [_digest(sinr_samples(self.cfg(model, m), workers=workers)) for m in counts]
+        shared = [_digest(sinr_samples(self.cfg(model, m))) for m in counts]
         assert montecarlo._shared_drops.cache_info().hits == len(counts) - 1
         cold = []
         for m in counts:
             montecarlo._shared_drops.cache_clear()
-            cold.append(_digest(sinr_samples(self.cfg(model, m), workers=workers)))
+            cold.append(_digest(sinr_samples(self.cfg(model, m))))
         assert shared == cold == [COLD_DIGESTS[model, m] for m in counts]
 
-    def test_activity_gap_thresholds_match_cold_runs(self):
+    def test_activity_gap_thresholds_match_cold_runs(self, monkeypatch):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "2")
         cfg = make_cfg(lambda_b=100.0, lambda_u=30.0, n_drops=12, n_fading=10, seed=5)
         montecarlo._shared_drops.cache_clear()
-        shared = {t: _gap_bits(activity_gap_report(cfg, t, workers=2)) for t in COLD_GAPS}
+        shared = {t: _gap_bits(activity_gap_report(cfg, t)) for t in COLD_GAPS}
         # the first threshold computes both activity models' drops, the rest reuse them
         assert montecarlo._shared_drops.cache_info().hits == 2 * (len(COLD_GAPS) - 1)
         cold = {}
         for t in COLD_GAPS:
             montecarlo._shared_drops.cache_clear()
-            cold[t] = _gap_bits(activity_gap_report(cfg, t, workers=2))
+            cold[t] = _gap_bits(activity_gap_report(cfg, t))
         assert shared == cold == COLD_GAPS
 
     def test_other_worker_count_recomputes(self, monkeypatch):
@@ -365,30 +380,42 @@ class TestSharedDrops:
         monkeypatch.setattr(montecarlo, "_drop_interference", counted)
         montecarlo._shared_drops.cache_clear()
         model = ActivityModel.INDEPENDENT_THINNING
-        one = sinr_samples(self.cfg(model), workers=1)
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "1")
+        one = sinr_samples(self.cfg(model))
         assert len(calls) == 16
-        sinr_samples(self.cfg(model, antennas=4), workers=1)
+        sinr_samples(self.cfg(model, antennas=4))
         assert len(calls) == 16
-        four = sinr_samples(self.cfg(model), workers=4)
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "4")
+        four = sinr_samples(self.cfg(model))
         assert len(calls) == 32
         assert _digest(one) == _digest(four)
 
-    def test_memo_stays_within_its_maxsize(self):
+    def test_memo_stays_within_its_maxsize(self, monkeypatch):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "1")
         montecarlo._shared_drops.cache_clear()
         maxsize = montecarlo._shared_drops.cache_info().maxsize
         assert maxsize is not None
         for seed in range(maxsize + 3):
             for model in ActivityModel:
-                sinr_samples(self.cfg(model, seed=seed), workers=1)
+                sinr_samples(self.cfg(model, seed=seed))
                 assert montecarlo._shared_drops.cache_info().currsize <= maxsize
 
-    def test_concurrent_callers_get_cold_bits(self):
-        jobs = [(model, m, workers) for model in ActivityModel for m in (1, 2, 4, 8)
-                for workers in (1, 2)] * 3
+    def test_concurrent_callers_get_cold_bits(self, monkeypatch):
+        # two seeds and two models keep four memo keys, twice the memo's size, in flight
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "2")
+        seeds = (2024, 2025)
+        jobs = [(model, m, seed) for model in ActivityModel for m in (1, 2, 4, 8)
+                for seed in seeds] * 3
 
         def digest(job):
-            model, m, workers = job
-            return _digest(sinr_samples(self.cfg(model, m), workers=workers))
+            model, m, seed = job
+            return _digest(sinr_samples(self.cfg(model, m, seed)))
+
+        cold = {}
+        for job in set(jobs):
+            montecarlo._shared_drops.cache_clear()
+            cold[job] = digest(job)
+        assert {(model, m): cold[model, m, seeds[0]] for model, m in COLD_DIGESTS} == COLD_DIGESTS
 
         montecarlo._shared_drops.cache_clear()
         interval = sys.getswitchinterval()
@@ -398,4 +425,4 @@ class TestSharedDrops:
                 got = list(pool.map(digest, jobs, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        assert got == [COLD_DIGESTS[model, m] for model, m, _ in jobs]
+        assert got == [cold[job] for job in jobs]

@@ -69,10 +69,6 @@ class TestRequiredDensity:
         ]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
-    def test_supplied_bracket_without_sign_change(self):
-        with pytest.raises(InfeasibleError):
-            required_density(500.0, 10.0, 1, 100.0, bracket=(1.0, 2.0))
-
     def test_infeasible_demand_detected(self):
         # rate grows ~logarithmically once the share saturates; an absurd
         # demand at tiny bandwidth exhausts the bracket expansion
