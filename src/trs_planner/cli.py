@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coverage, montecarlo, trs
-from .coverage import ConfigError, LoadModel, NetworkConfig, QuadratureError
+from .coverage import MAX_ANTENNAS, ConfigError, LoadModel, NetworkConfig, QuadratureError
 from .montecarlo import ActivityModel, McConfig
 
 EXIT_OK = 0
@@ -80,9 +80,12 @@ class Scenario:
         self.target_rate_mbps = float(fields["target_rate_mbps"])
         if self.target_rate_mbps <= 0:
             raise ConfigError(f"scenario {name!r}: target_rate_mbps must be positive")
-        self.max_antennas = int(fields.get("max_antennas", trs.DEFAULT_MAX_ANTENNAS))
-        if self.max_antennas < 1:
-            raise ConfigError(f"scenario {name!r}: max_antennas must be >= 1, got {self.max_antennas}")
+        self.max_antennas = int(fields.get("max_antennas", MAX_ANTENNAS))
+        if not 1 <= self.max_antennas <= MAX_ANTENNAS:
+            raise ConfigError(
+                f"scenario {name!r}: max_antennas must be >= 1 and at most {MAX_ANTENNAS}, "
+                f"got {self.max_antennas}"
+            )
         raw_w = fields.get("bandwidth_mhz", "auto")
         self._auto_bandwidth = raw_w == "auto"
         load = fields.get("load_model", "mean-load")
@@ -308,12 +311,14 @@ def _parse_grid(raw: str):
         raise ConfigError(f"cannot parse the list {raw!r}: {err}") from err
 
 
-def _parse_counts(raw: str, flag: str) -> list[int]:
-    """A comma-separated list of whole numbers, such as antenna counts."""
+def _parse_counts(raw: str, flag: str, most: int) -> list[int]:
+    """A comma-separated list of whole numbers up to ``most``, such as antenna counts."""
     values = _parse_grid(raw)
     for value in values:
         if not value.is_integer():
             raise ConfigError(f"{flag} takes whole numbers, got {value!r} in {raw!r}")
+        if value > most:
+            raise ConfigError(f"{flag} takes counts up to {most}, got {value!r} in {raw!r}")
     return [int(value) for value in values]
 
 
@@ -354,7 +359,8 @@ def cmd_trs(args) -> int:
         raise ConfigError("trs needs --target-rate-mbps or a scenario demand")
     values = []
     if args.pair == "w-m":
-        points = _parse_counts(args.at or "", "--at") or [1, 4, 8, 16]
+        # the step from M to M+1 antennas must stay within the cap
+        points = _parse_counts(args.at or "", "--at", MAX_ANTENNAS - 1) or [1, 4, 8, 16]
         for m in points:
             values.append(
                 trs.trs_spectrum_antennas(rate, cfg.lambda_b, m, cfg.lambda_u, cfg.alpha, cfg.load_model)
@@ -394,7 +400,7 @@ def cmd_trs(args) -> int:
 
 def cmd_validate(args) -> int:
     rho_values = _parse_grid(args.rho_values)
-    m_values = _parse_counts(args.m_values, "--m-values")
+    m_values = _parse_counts(args.m_values, "--m-values", MAX_ANTENNAS)
     t_values = _parse_grid(args.t_values)
     if not (rho_values and m_values and t_values):
         raise ConfigError("validate needs a value in each of --rho-values, --m-values and --t-values")

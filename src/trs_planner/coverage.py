@@ -11,6 +11,14 @@ the mean spectral efficiency follows by integrating the SINR distribution.
 The model is interference-limited: the analytic path requires zero additive
 noise (the Monte-Carlo module accepts a noise term for checking that this is
 negligible).
+
+Reuse across antenna counts: the M x M outage system is the leading block of
+the (M+1) x (M+1) one, so the forward-substitution solution for M antennas is
+the first M entries of the solution for any larger count.  The solution at
+each threshold is kept per (p_a, alpha) and extended row by row when a larger
+count asks for it; a smaller count sums its prefix.  The extension runs the
+rows a cold solve would run, at the same array offsets, so every answer keeps
+its bits whatever the order in which antenna counts are asked.
 """
 
 from __future__ import annotations
@@ -23,9 +31,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .hypergeom import coefficient_table
+from .hypergeom import _check_alpha, coefficient_table
 
 LN2 = math.log(2.0)
+# Largest antenna count per station anywhere in the planner: the cost of one
+# rate grows with M^2 per quadrature node.
+MAX_ANTENNAS = 1024
 
 
 class ConfigError(ValueError):
@@ -34,6 +45,13 @@ class ConfigError(ValueError):
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
+
+
+def _check_antennas(antennas) -> None:
+    if int(antennas) != antennas or antennas < 1:
+        raise ConfigError(f"antennas must be an integer >= 1, got {antennas}")
+    if antennas > MAX_ANTENNAS:
+        raise ConfigError(f"antennas must be at most {MAX_ANTENNAS}, got {antennas}")
 
 
 class LoadModel(enum.Enum):
@@ -76,8 +94,7 @@ class NetworkConfig:
             raise ConfigError(f"lambda_b must be positive, got {self.lambda_b}")
         if self.lambda_u <= 0.0:
             raise ConfigError(f"lambda_u must be positive, got {self.lambda_u}")
-        if int(self.antennas) != self.antennas or self.antennas < 1:
-            raise ConfigError(f"antennas must be an integer >= 1, got {self.antennas}")
+        _check_antennas(self.antennas)
         if self.bandwidth_mhz < 0.0:
             raise ConfigError(f"bandwidth_mhz must be >= 0, got {self.bandwidth_mhz}")
         if self.alpha <= 2.0:
@@ -124,7 +141,19 @@ class OutageResult:
         return 1.0 - self.p_out
 
 
-def _first_column_sum(k: tuple[float, ...], p_a: float) -> float:
+@lru_cache(maxsize=4)
+def _solutions(p_a: float, alpha: float) -> dict:
+    """Forward-substitution solutions by threshold, for one (p_a, alpha).
+
+    Each value is a read-only array; a longer solve stores a new array in
+    place of the old one, so a concurrent reader sees one or the other and
+    at worst repeats work.  Four groups cover a planning session's antenna
+    sweeps: the base and the doubled-usage density of two scenarios.
+    """
+    return {}
+
+
+def _first_column_sum(threshold: float, p_a: float, antennas: int, alpha: float) -> float:
     """L1 induced norm of the inverse outage matrix.
 
     The matrix (k0 + 1/p_a) I - Q is lower-triangular Toeplitz with constant
@@ -132,20 +161,53 @@ def _first_column_sum(k: tuple[float, ...], p_a: float) -> float:
     non-negative entries and the norm equals the first-column sum, obtained
     by forward substitution in O(M^2).  ``rev`` is ``b`` back to front, so
     each dot product reads a contiguous slice instead of a reversed view.
+
+    The solution ``b`` is kept per threshold in :func:`_solutions`.  The M x M
+    system is the leading block of every larger one, so a count at most the
+    stored length sums the stored prefix, and a larger count copies that
+    prefix into fresh length-M arrays and runs only the missing rows, at the
+    offsets a cold length-M solve uses.  One antenna needs no solve
+    (``1/d``) and leaves the store alone, so one-antenna sweeps over many
+    densities, each with its own p_a, do not push out the groups that larger
+    counts reuse.
     """
+    if antennas > 1:
+        store = _solutions(p_a, alpha)
+        known = store.get(threshold)
+        if known is not None and len(known) >= antennas:
+            return float(known[:antennas].sum())
+    k = coefficient_table(antennas, threshold, alpha)
     d = k[0] + 1.0 / p_a
     if not d > 0.0:
         raise ArithmeticError(f"outage system lost positivity: diagonal {d}")
-    m = len(k)
-    if m == 1:
+    if antennas == 1:
         return 1.0 / d
+    m = antennas
     b = np.empty(m)
     rev = np.empty(m)
-    b[0] = rev[m - 1] = 1.0 / d
+    if known is None:
+        b[0] = rev[m - 1] = 1.0 / d
+        start = 1
+    else:
+        start = len(known)
+        b[:start] = known
+        rev[m - start :] = known[::-1]
     kv = np.asarray(k)
-    for n in range(1, m):
+    for n in range(start, m):
         b[n] = rev[m - 1 - n] = np.dot(kv[1 : n + 1], rev[m - n :]) / d
+    b.flags.writeable = False
+    store[threshold] = b
     return float(b.sum())
+
+
+def _p_out(threshold: float, p_a: float, antennas: int, alpha: float) -> float:
+    """Outage probability on already validated inputs, clipped to [0, 1]."""
+    p_out = 1.0 - _first_column_sum(threshold, p_a, antennas, alpha) / p_a
+    if p_out < -1e-9 or p_out > 1.0 + 1e-9:
+        raise ArithmeticError(
+            f"outage left [0,1]: {p_out} at T={threshold}, p_a={p_a}, M={antennas}"
+        )
+    return min(max(p_out, 0.0), 1.0)
 
 
 def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float) -> OutageResult:
@@ -159,16 +221,9 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
         raise ConfigError(f"threshold must be positive, got {threshold}")
     if not 0.0 < p_a <= 1.0:
         raise ConfigError(f"active probability must lie in (0, 1], got {p_a}")
-    if int(antennas) != antennas or antennas < 1:
-        raise ConfigError(f"antennas must be an integer >= 1, got {antennas}")
-    norm = _first_column_sum(coefficient_table(int(antennas), threshold, alpha), p_a)
-    p_out = 1.0 - norm / p_a
-    if p_out < -1e-9 or p_out > 1.0 + 1e-9:
-        raise ArithmeticError(
-            f"outage left [0,1]: {p_out} at T={threshold}, p_a={p_a}, M={antennas}"
-        )
+    _check_antennas(antennas)
     return OutageResult(
-        p_out=min(max(p_out, 0.0), 1.0),
+        p_out=_p_out(threshold, p_a, int(antennas), alpha),
         threshold=threshold,
         p_a=p_a,
         antennas=int(antennas),
@@ -185,17 +240,20 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
     endpoint singularity that the adaptive rule resolves by extrapolation.
     Raises QuadratureError when the absolute tolerance (in bits/s/Hz)
     cannot be certified.  Pure in its arguments, so results are memoized.
+    The inputs are checked once here, not at every quadrature node.
     """
     if not 0.0 < p_a <= 1.0:
         raise ConfigError(
             f"active probability must lie in (0, 1], got {p_a}"
             + (" (an interference-free network has unbounded spectral efficiency)" if p_a <= 0 else "")
         )
+    _check_antennas(antennas)
+    _check_alpha(alpha)
+    m = int(antennas)
 
     def integrand(u):
         t = u / (1.0 - u)
-        cov = 1.0 - outage_probability(t, p_a, antennas, alpha).p_out
-        return cov / (1.0 - u)
+        return (1.0 - _p_out(t, p_a, m, alpha)) / (1.0 - u)
 
     result = quad(
         integrand, 0.0, 1.0, epsabs=abs_tol * LN2 * 0.25, epsrel=1e-10,

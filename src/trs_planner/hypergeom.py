@@ -250,6 +250,10 @@ def _check_domain(threshold: float, alpha: float) -> None:
         raise ValueError(f"threshold must be finite, got {threshold}")
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_alpha(alpha)
+
+
+def _check_alpha(alpha: float) -> None:
     if not math.isfinite(alpha):
         raise ValueError(f"path-loss exponent alpha must be finite, got {alpha}")
     if alpha <= 2.0:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import (
+    MAX_ANTENNAS,
     ConfigError,
     LoadModel,
     NetworkConfig,
@@ -33,7 +34,6 @@ from .coverage import (
 
 RATE_REL_TOL = 1e-6
 DENSITY_REL_TOL = 1e-8
-DEFAULT_MAX_ANTENNAS = 1024
 MAX_DENSITY_RATIO = 1e4
 CENTRAL_REL_STEP = 1e-3
 
@@ -181,7 +181,7 @@ def required_antennas(
     lambda_u: float,
     alpha: float = 4.0,
     load_model: LoadModel = LoadModel.MEAN_LOAD,
-    max_antennas: int = DEFAULT_MAX_ANTENNAS,
+    max_antennas: int = MAX_ANTENNAS,
 ) -> int:
     """Smallest antenna count meeting the target rate at fixed W and density.
 
@@ -193,6 +193,8 @@ def required_antennas(
         raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
     if not math.isfinite(max_antennas) or int(max_antennas) != max_antennas or max_antennas < 1:
         raise ConfigError(f"max_antennas must be an integer >= 1, got {max_antennas}")
+    if max_antennas > MAX_ANTENNAS:
+        raise ConfigError(f"max_antennas must be at most {MAX_ANTENNAS}, got {max_antennas}")
 
     # tolerate float dust when the demand sits exactly on a solved point
     floor = target_rate_mbps * (1.0 - RATE_REL_TOL)
@@ -259,8 +261,10 @@ def indifference_curve(
         held = {"lambda_b": lambda_b, "alpha": alpha, "load_model": load_model.value}
 
         def lever(m):  # (lambda_b, antennas) at a grid value
-            if not math.isfinite(m) or int(m) != m or m < 1:
-                raise ConfigError(f"antenna grid values must be integers >= 1, got {m}")
+            if not math.isfinite(m) or int(m) != m or not 1 <= m <= MAX_ANTENNAS:
+                raise ConfigError(
+                    f"antenna grid values must be integers from 1 to {MAX_ANTENNAS}, got {m}"
+                )
             return lambda_b, int(m)
     elif pair == "w-density":
         if antennas is None:
@@ -423,7 +427,7 @@ def doubling_scenario(
     mode: ScaleMode,
     lever: Lever,
     factor: float = 2.0,
-    max_antennas: int = DEFAULT_MAX_ANTENNAS,
+    max_antennas: int = MAX_ANTENNAS,
 ) -> DoublingReport:
     """Scale either the per-user rate or the user density, move one lever.
 

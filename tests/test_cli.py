@@ -577,3 +577,37 @@ class TestCountLists:
             "8,0.9645066070352474,antennas_per_mhz,forward-unit-step dM=1,\n"
             "16,2.594327337744405,antennas_per_mhz,forward-unit-step dM=1,\n"
         )
+
+
+class TestAntennaCap:
+    """Antenna counts above the planner's cap of 1024 exit 2, naming the field or flag."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["rate", "--scenario", "sparse", "--antennas", "2048"],
+             "error: antennas must be at most 1024, got 2048"),
+            (["curve", "--scenario", "sparse", "--pair", "w-m", "--grid", "1e9"],
+             "error: antenna grid values must be integers from 1 to 1024"),
+            (["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1024"],
+             "error: --at takes counts up to 1023"),
+            (["validate", "--rho-values", "1", "--m-values", "1025", "--t-values", "1",
+              "--n-drops", "4", "--n-fading", "4"], "error: --m-values takes counts up to 1024"),
+        ],
+        ids=["rate-antennas", "curve-grid", "trs-at", "validate-m-values"],
+    )
+    def test_exit_2_naming_the_field(self, capsys, argv, named):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert named in err
+
+    def test_scenario_file_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text(SCENARIO_TEXT + "tiny.max_antennas = 1025\n")
+        code, out, err = run(
+            ["scenario", "--file", str(path), "--scenario", "tiny", "--mode", "double-rate",
+             "--lever", "antennas"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "max_antennas must be >= 1 and at most 1024, got 1025" in err

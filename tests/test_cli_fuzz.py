@@ -2,18 +2,24 @@
 
 On exit 0 stdout must be strict JSON or CSV whose numbers are all finite.
 ``validate`` is left out: its cost is set by the drop counts, not the floats.
-Antenna counts stay small, because the cost of an answer grows with M^2.
+The float tests keep antenna counts at 1 or 2, because the cost of an answer
+grows with M^2.  Whole counts around the cap of 1024 and far above it are
+drawn separately; there a count from 3 to the cap is answered with the
+two-antenna spectral efficiency, since a cold one at M = 1024 takes about
+45 s, and every count above the cap must exit 2.
 """
 
 import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trs_planner import cli
+from trs_planner import cli, coverage
+from trs_planner.coverage import MAX_ANTENNAS
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308, -1e308]
 # special values, any double, and the planner's working range
@@ -21,6 +27,24 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.floats(0.01, 1e4))
 # one- or two-point grids, as the comma-separated text the CLI parses
 GRIDS = st.lists(FLOATS, min_size=1, max_size=2).map(lambda xs: ",".join(map(repr, xs)))
 FUZZ = settings(max_examples=25, deadline=None)
+# whole antenna counts: invalid, around the cap, and far above it
+COUNTS = st.sampled_from(
+    [0, 1, 2, MAX_ANTENNAS - 1, MAX_ANTENNAS, MAX_ANTENNAS + 1, 2048, 10**9, int(1e300)]
+)
+
+
+@contextlib.contextmanager
+def two_antenna_se():
+    """Answer a whole count from 3 to the cap with the two-antenna SE; pass any other count on."""
+    real = coverage.mean_log2_sinr
+
+    def stand_in(p_a, antennas, alpha, abs_tol=1e-6):
+        if antennas == int(antennas) and 2 < antennas <= MAX_ANTENNAS:
+            antennas = 2
+        return real(p_a, antennas, alpha, abs_tol)
+
+    with mock.patch.object(coverage, "mean_log2_sinr", stand_in):
+        yield
 
 
 def run(argv):
@@ -131,3 +155,41 @@ def test_scenario(tmp_path_factory, lambda_b, lambda_u, target, factor, mode, le
                      f"--factor={factor!r}"])
     if code == 0:
         check_json(out)
+
+
+@FUZZ
+@given(antennas=COUNTS, bandwidth=FLOATS)
+def test_rate_antenna_counts(antennas, bandwidth):
+    with two_antenna_se():
+        code, out = run(["rate", "--scenario", "sparse", f"--antennas={antennas}",
+                         f"--bandwidth-mhz={bandwidth!r}"])
+    if antennas > MAX_ANTENNAS:
+        assert code == 2
+    if code == 0:
+        check_json(out)
+
+
+@FUZZ
+@given(at=st.lists(COUNTS, min_size=1, max_size=2), target=FLOATS)
+def test_trs_antenna_counts(at, target):
+    # the step from M to M+1 antennas must stay within the cap
+    with two_antenna_se():
+        code, out = run(["trs", "--scenario", "sparse", "--pair", "w-m",
+                         f"--at={','.join(map(str, at))}", f"--target-rate-mbps={target!r}",
+                         "--output", "json"])
+    if max(at) >= MAX_ANTENNAS:
+        assert code == 2
+    if code == 0:
+        check_json(out)
+
+
+@FUZZ
+@given(grid=st.lists(COUNTS, min_size=1, max_size=2), target=FLOATS)
+def test_curve_antenna_counts(grid, target):
+    with two_antenna_se():
+        code, out = run(["curve", "--scenario", "sparse", "--pair", "w-m",
+                         f"--grid={','.join(map(str, grid))}", f"--target-rate-mbps={target!r}"])
+    if max(grid) > MAX_ANTENNAS:
+        assert code == 2
+    if code == 0:
+        check_csv(out, ["axis1", "axis2", "feasible"], len(grid))

@@ -1,6 +1,9 @@
 """Analytic model tests: activity, outage, spectral efficiency, user rate."""
 
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from trs_planner import coverage
 from trs_planner.coverage import (
+    MAX_ANTENNAS,
     ConfigError,
     LoadModel,
     NetworkConfig,
@@ -220,6 +225,143 @@ class TestSpectralEfficiency:
     def test_zero_activity_guarded(self):
         with pytest.raises(ConfigError):
             spectral_efficiency(0.0, 1, 4.0)
+
+
+# float.hex of spectral_efficiency(p_a, M, alpha), each computed cold before the
+# Toeplitz solutions were reused across antenna counts: (p_a, M, alpha) -> bits.
+FROZEN_SE = {
+    (0.3, 1, 4.0): "0x1.fbc937b4e667fp+1",
+    (0.3, 2, 4.0): "0x1.44076ce066031p+2",
+    (0.3, 3, 4.0): "0x1.6c09450561b14p+2",
+    (0.3, 4, 4.0): "0x1.87f96734175afp+2",
+    (0.3, 5, 4.0): "0x1.9d6df77b4790cp+2",
+    (0.3, 6, 4.0): "0x1.aed78f66d96ddp+2",
+    (0.3, 7, 4.0): "0x1.bd7e34b4c0774p+2",
+    (0.3, 8, 4.0): "0x1.ca235f76d2ab9p+2",
+    (0.3, 9, 4.0): "0x1.d542b1369165cp+2",
+    (0.3, 10, 4.0): "0x1.df2ff3ab2d6f4p+2",
+    (0.3, 11, 4.0): "0x1.e8268d961ee11p+2",
+    (0.3, 12, 4.0): "0x1.f05222d6acb36p+2",
+    (0.3, 13, 4.0): "0x1.f7d3b3b40c89bp+2",
+    (0.3, 14, 4.0): "0x1.fec4cf8db846ep+2",
+    (0.3, 15, 4.0): "0x1.029cd4bb0b66fp+3",
+    (0.3, 16, 4.0): "0x1.05a13f6adb068p+3",
+    (0.3, 48, 4.0): "0x1.38ba96804c057p+3",
+    (0.3, 56, 4.0): "0x1.3fdf6c988e6d3p+3",
+    (0.3, 64, 4.0): "0x1.460ed32269986p+3",
+    (0.9, 1, 3.5): "0x1.d208f6a924de3p+0",
+    (0.9, 2, 3.5): "0x1.488da9a39c88cp+1",
+    (0.9, 8, 3.5): "0x1.13d0233bcab77p+2",
+    (0.9, 16, 3.5): "0x1.5059ef565e967p+2",
+    (0.9, 56, 3.5): "0x1.c15636e4879dep+2",
+    (0.9, 64, 3.5): "0x1.cd86ba168f959p+2",
+}
+
+
+def se_bits(p_a, antennas, alpha):
+    """float.hex of the SE, computed past the SE memo (the stored solutions stay)."""
+    coverage.mean_log2_sinr.cache_clear()
+    return spectral_efficiency(p_a, antennas, alpha).hex()
+
+
+class TestSolutionReuse:
+    """Toeplitz solutions reused across antenna counts keep every bit of a cold solve."""
+
+    def test_cold_values_keep_bits(self):
+        got = {}
+        for p_a, m, alpha in FROZEN_SE:
+            coverage._solutions.cache_clear()
+            got[p_a, m, alpha] = se_bits(p_a, m, alpha)
+        assert got == FROZEN_SE
+
+    @pytest.mark.parametrize(
+        "counts",
+        [list(range(1, 17)), list(range(16, 0, -1)), [64, 48, 56]],
+        ids=["ascending", "descending", "64-48-56"],
+    )
+    def test_any_order_keeps_cold_bits(self, counts):
+        coverage._solutions.cache_clear()
+        got = [se_bits(0.3, m, 4.0) for m in counts]
+        assert got == [FROZEN_SE[0.3, m, 4.0] for m in counts]
+
+    def test_stored_solutions_are_read_only_and_bounded(self):
+        coverage._solutions.cache_clear()
+        maxsize = coverage._solutions.cache_info().maxsize
+        assert maxsize is not None
+        for p_a in np.linspace(0.1, 1.0, maxsize + 3):
+            for m in (2, 5, 3):
+                outage_probability(2.0, float(p_a), m, 4.0)
+            assert coverage._solutions.cache_info().currsize <= maxsize
+        group = coverage._solutions(1.0, 4.0)
+        assert len(group[2.0]) == 5
+        with pytest.raises(ValueError, match="read-only"):
+            group[2.0][0] = 0.0
+
+    def test_one_antenna_leaves_the_store_alone(self):
+        coverage._solutions.cache_clear()
+        se_bits(0.45, 1, 4.0)
+        assert coverage._solutions.cache_info().currsize == 0
+
+    def test_concurrent_callers_get_cold_bits(self):
+        # one group more than the store holds, so groups are dropped while in use
+        n_groups = coverage._solutions.cache_info().maxsize + 1
+        groups = [(float(p_a), 4.0) for p_a in np.linspace(0.2, 1.0, n_groups)]
+        jobs = [(t, p_a, m, alpha) for p_a, alpha in groups for t in (0.05, 1.0, 30.0)
+                for m in (2, 7, 16, 33)] * 3
+        random.Random(7).shuffle(jobs)
+
+        def bits(job):
+            return outage_probability(*job).p_out.hex()
+
+        cold = {}
+        for job in set(jobs):
+            coverage._solutions.cache_clear()
+            cold[job] = bits(job)
+        coverage._solutions.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(bits, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [cold[job] for job in jobs]
+
+    @pytest.mark.parametrize(
+        "args, kind, message",
+        [
+            ((0.5, 0, 4.0), ConfigError, "antennas must be an integer >= 1, got 0"),
+            ((0.5, 1.5, 4.0), ConfigError, "antennas must be an integer >= 1, got 1.5"),
+            ((0.5, 1, 2.0), ValueError, "path-loss exponent must exceed 2, got 2.0"),
+        ],
+        ids=["zero-antennas", "fractional-antennas", "alpha-2"],
+    )
+    def test_bad_input_raises_as_before(self, monkeypatch, args, kind, message):
+        # the type and message that came from inside the quadrature before the
+        # inputs were checked once per integral; now no node is evaluated
+        def no_node(*_):
+            raise AssertionError("a quadrature node was evaluated")
+
+        monkeypatch.setattr(coverage, "coefficient_table", no_node)
+        with pytest.raises(kind) as err:
+            spectral_efficiency(*args)
+        assert type(err.value) is kind and str(err.value) == message
+
+
+class TestAntennaCap:
+    def test_config(self):
+        assert NetworkConfig(lambda_b=10.0, lambda_u=100.0, antennas=MAX_ANTENNAS).antennas == 1024
+        with pytest.raises(ConfigError, match="antennas must be at most 1024, got 1025"):
+            NetworkConfig(lambda_b=10.0, lambda_u=100.0, antennas=MAX_ANTENNAS + 1)
+
+    def test_outage(self):
+        assert 0.0 <= outage_probability(1.0, 0.5, MAX_ANTENNAS, 4.0).p_out <= 1.0
+        with pytest.raises(ConfigError, match="antennas must be at most 1024"):
+            outage_probability(1.0, 0.5, MAX_ANTENNAS + 1, 4.0)
+
+    def test_spectral_efficiency(self):
+        with pytest.raises(ConfigError, match="antennas must be at most 1024, got 2048"):
+            spectral_efficiency(0.5, 2048, 4.0)
 
 
 class TestUserRate:

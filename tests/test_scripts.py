@@ -1,5 +1,6 @@
-"""Experiment scripts: bad input exits 2 with an error line, as the CLI does."""
+"""Experiment scripts: the printed tables, and bad input exits 2 with an error line, as the CLI does."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -22,3 +23,41 @@ def test_bad_input_exits_2(script, args, tmp_path, monkeypatch, capsys):
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert exit_info.value.code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# stdout of reproduce_tables.py, recorded before the Toeplitz solutions were
+# reused across antenna counts
+REPRODUCE_TABLES = """\
+TRS spectrum vs antennas (dM per MHz)
+case        M   computed  published      rel
+sparse      1     0.0524     0.0530    -1.0%
+sparse      4     0.3567     0.3570    -0.1%
+sparse      8     0.9645     0.9900    -2.6%
+sparse     16     2.5943     2.6320    -1.4%
+dense       1     0.0848     0.0830    +2.2%
+dense       4     0.5122     0.5130    -0.1%
+dense       8     1.2467     1.2500    -0.3%
+dense      16     2.9967     3.0300    -1.1%
+
+TRS spectrum vs densification (dlambda_b per MHz)
+case      lam_b   computed  published      rel
+sparse        1    0.00286    0.00286    +0.1%
+sparse        5    0.04302    0.04300    +0.1%
+sparse       10    0.15864    0.15900    -0.2%
+dense       100    0.55055    0.41700   +32.0%
+dense       500   10.92759   12.50000   -12.6%
+dense      1000   35.59994   33.30000    +6.9%
+"""
+NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def test_reproduce_tables_output(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["reproduce_tables.py"])
+    runpy.run_path(str(SCRIPTS / "reproduce_tables.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    # the text between numbers matches exactly, each number within 1e-10 relative
+    assert NUMBER.split(out) == NUMBER.split(REPRODUCE_TABLES)
+    got, want = NUMBER.findall(out), NUMBER.findall(REPRODUCE_TABLES)
+    assert len(got) == len(want) == 56
+    for g, w in zip(got, want):
+        assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), (g, w)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trs_planner.coverage import ConfigError, LoadModel, NetworkConfig, user_rate
+from trs_planner import coverage
+from trs_planner.coverage import MAX_ANTENNAS, ConfigError, LoadModel, NetworkConfig, user_rate
 from trs_planner.trs import (
     InfeasibleError,
     Lever,
@@ -108,11 +109,19 @@ class TestRequiredAntennas:
             else:
                 assert required_antennas(30.0, w, 10.0, 100.0, max_antennas=cap) == 6
 
-    @pytest.mark.parametrize("cap", [0, -3, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, math.nan, math.inf, MAX_ANTENNAS + 1, 2048])
     def test_invalid_cap_rejected(self, cap):
         w = required_spectrum(15.0, **SPARSE)
         with pytest.raises(ConfigError, match="max_antennas"):
             required_antennas(20.0, w, 10.0, 100.0, max_antennas=cap)
+
+    def test_dense_rate_doubling_needs_56_from_cold_solutions(self):
+        # the search asks M = 1, 2, 4, .., 64, then 48, 56, 52, 54, 55: every count
+        # after the first extends or reads a stored solution
+        w = required_spectrum(420.0, **DENSE)
+        coverage._solutions.cache_clear()
+        coverage.mean_log2_sinr.cache_clear()
+        assert required_antennas(840.0, w, 1000.0, 100.0) == 56
 
 
 class TestIndifferenceCurve:
