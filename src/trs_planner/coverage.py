@@ -19,6 +19,20 @@ each threshold is kept per (p_a, alpha) and extended row by row when a larger
 count asks for it; a smaller count sums its prefix.  The extension runs the
 rows a cold solve would run, at the same array offsets, so every answer keeps
 its bits whatever the order in which antenna counts are asked.
+
+One batch per quadrature interval: QUADPACK's QAGS applies the 21-point
+Gauss-Kronrod rule to one interval at a time, bisecting [0, 1], and asks for
+the interval's centre first.  The spectral-efficiency integrand therefore
+reads a call at a dyadic point as an interval centre, computes that
+interval's 21 nodes with QUADPACK's own arithmetic, and evaluates them as
+one batch: one store lookup per node, one batched coefficient-table call for
+the nodes the store lacks, then the per-threshold forward substitution.  The
+batch is exact because a node's coefficients and solution depend only on its
+threshold: the k-coefficient rows are elementwise (see
+:mod:`trs_planner.hypergeom`) and each node runs the solve a call at that
+node alone would run, so each of the 21 values has the bits of a
+one-node call.  The 20 values not asked for yet wait, keyed by their exact
+abscissa, for the calls that follow; any other call is evaluated alone.
 """
 
 from __future__ import annotations
@@ -37,6 +51,21 @@ LN2 = math.log(2.0)
 # Largest antenna count per station anywhere in the planner: the cost of one
 # rate grows with M^2 per quadrature node.
 MAX_ANTENNAS = 1024
+# Kronrod abscissae of QUADPACK's 21-point rule (dqk21), largest first; the
+# Gauss nodes are every second one.  The centre node is 0.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+# Finest half-width read as a QUADPACK interval: the benchmark workloads stay
+# above 2^-20 and an SE at p_a = 1e-5 reaches 2^-37; a finer interval takes
+# the one-node path.  A point that is no centre carries about 53 significant
+# bits, so it passes this bound with odds of about 2^-13, and a broken
+# prediction costs about one node per call instead of 21.
+_MAX_DYADIC_DENOMINATOR = 1 << 40
 
 
 class ConfigError(ValueError):
@@ -48,10 +77,11 @@ class QuadratureError(RuntimeError):
 
 
 def _check_antennas(antennas) -> None:
-    if int(antennas) != antennas or antennas < 1:
-        raise ConfigError(f"antennas must be an integer >= 1, got {antennas}")
+    """Whole count from 1 to the cap; inf and ints too large for a float fail the cap."""
     if antennas > MAX_ANTENNAS:
         raise ConfigError(f"antennas must be at most {MAX_ANTENNAS}, got {antennas}")
+    if not antennas >= 1 or int(antennas) != antennas:
+        raise ConfigError(f"antennas must be an integer >= 1, got {antennas}")
 
 
 class LoadModel(enum.Enum):
@@ -85,16 +115,15 @@ class NetworkConfig:
     load_model: LoadModel = LoadModel.MEAN_LOAD
 
     def __post_init__(self):
-        for name in (
-            "lambda_b", "lambda_u", "antennas", "bandwidth_mhz", "alpha", "noise_power", "tx_power"
-        ):
+        # the antenna count first: math.isfinite cannot take an int beyond a float
+        _check_antennas(self.antennas)
+        for name in ("lambda_b", "lambda_u", "bandwidth_mhz", "alpha", "noise_power", "tx_power"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_b <= 0.0:
             raise ConfigError(f"lambda_b must be positive, got {self.lambda_b}")
         if self.lambda_u <= 0.0:
             raise ConfigError(f"lambda_u must be positive, got {self.lambda_u}")
-        _check_antennas(self.antennas)
         if self.bandwidth_mhz < 0.0:
             raise ConfigError(f"bandwidth_mhz must be >= 0, got {self.bandwidth_mhz}")
         if self.alpha <= 2.0:
@@ -153,36 +182,22 @@ def _solutions(p_a: float, alpha: float) -> dict:
     return {}
 
 
-def _first_column_sum(threshold: float, p_a: float, antennas: int, alpha: float) -> float:
-    """L1 induced norm of the inverse outage matrix.
+def _solve(threshold: float, k, d: float, known, store) -> float:
+    """First-column sum of the inverse outage matrix, for two or more antennas.
 
-    The matrix (k0 + 1/p_a) I - Q is lower-triangular Toeplitz with constant
-    positive diagonal, so its inverse is lower-triangular Toeplitz with
-    non-negative entries and the norm equals the first-column sum, obtained
-    by forward substitution in O(M^2).  ``rev`` is ``b`` back to front, so
-    each dot product reads a contiguous slice instead of a reversed view.
+    The matrix (k0 + 1/p_a) I - Q, with diagonal ``d``, is lower-triangular
+    Toeplitz, so its inverse is lower-triangular Toeplitz with non-negative
+    entries and the L1 induced norm equals the first-column sum, obtained by
+    forward substitution in O(M^2) for M = ``len(k)``.  ``rev`` is ``b``
+    back to front, so each dot product reads a contiguous slice instead of a
+    reversed view.
 
-    The solution ``b`` is kept per threshold in :func:`_solutions`.  The M x M
-    system is the leading block of every larger one, so a count at most the
-    stored length sums the stored prefix, and a larger count copies that
-    prefix into fresh length-M arrays and runs only the missing rows, at the
-    offsets a cold length-M solve uses.  One antenna needs no solve
-    (``1/d``) and leaves the store alone, so one-antenna sweeps over many
-    densities, each with its own p_a, do not push out the groups that larger
-    counts reuse.
+    ``known`` is the stored shorter solution at ``threshold``, or None.  A
+    larger count copies that prefix into fresh length-M arrays and runs only
+    the missing rows, at the offsets a cold length-M solve uses, then stores
+    the longer solution in ``store``.
     """
-    if antennas > 1:
-        store = _solutions(p_a, alpha)
-        known = store.get(threshold)
-        if known is not None and len(known) >= antennas:
-            return float(known[:antennas].sum())
-    k = coefficient_table(antennas, threshold, alpha)
-    d = k[0] + 1.0 / p_a
-    if not d > 0.0:
-        raise ArithmeticError(f"outage system lost positivity: diagonal {d}")
-    if antennas == 1:
-        return 1.0 / d
-    m = antennas
+    m = len(k)
     b = np.empty(m)
     rev = np.empty(m)
     if known is None:
@@ -200,14 +215,40 @@ def _first_column_sum(threshold: float, p_a: float, antennas: int, alpha: float)
     return float(b.sum())
 
 
-def _p_out(threshold: float, p_a: float, antennas: int, alpha: float) -> float:
-    """Outage probability on already validated inputs, clipped to [0, 1]."""
-    p_out = 1.0 - _first_column_sum(threshold, p_a, antennas, alpha) / p_a
-    if p_out < -1e-9 or p_out > 1.0 + 1e-9:
-        raise ArithmeticError(
-            f"outage left [0,1]: {p_out} at T={threshold}, p_a={p_a}, M={antennas}"
-        )
-    return min(max(p_out, 0.0), 1.0)
+def _p_outs(thresholds: list, p_a: float, antennas: int, alpha: float) -> list[float]:
+    """Outage probabilities on already validated inputs, clipped to [0, 1].
+
+    Each threshold makes one lookup: of its stored solution when
+    ``antennas > 1`` (see :func:`_solutions`), else of its coefficient
+    table.  A stored solution at least ``antennas`` long gives the sum of
+    its prefix; the others get their tables from one batched
+    :func:`coefficient_table` call.  One antenna needs no solve (``1/d``)
+    and leaves the store alone, so one-antenna sweeps over many densities,
+    each with its own p_a, do not push out the groups that larger counts
+    reuse.
+    """
+    store = _solutions(p_a, alpha) if antennas > 1 else {}
+    knowns = [store.get(t) for t in thresholds]
+    misses = [t for t, known in zip(thresholds, knowns) if known is None or len(known) < antennas]
+    tables = iter(coefficient_table(antennas, misses, alpha) if misses else ())
+    inv = 1.0 / p_a
+    p_outs = []
+    for t, known in zip(thresholds, knowns):
+        if known is not None and len(known) >= antennas:
+            norm = float(known[:antennas].sum())
+        else:
+            k = next(tables)
+            d = k[0] + inv
+            if not d > 0.0:
+                raise ArithmeticError(f"outage system lost positivity: diagonal {d}")
+            norm = 1.0 / d if antennas == 1 else _solve(t, k, d, known, store)
+        p_out = 1.0 - norm / p_a
+        if not 0.0 <= p_out <= 1.0:
+            if p_out < -1e-9 or p_out > 1.0 + 1e-9:
+                raise ArithmeticError(f"outage left [0,1]: {p_out} at T={t}, p_a={p_a}, M={antennas}")
+            p_out = min(max(p_out, 0.0), 1.0)
+        p_outs.append(p_out)
+    return p_outs
 
 
 def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float) -> OutageResult:
@@ -223,12 +264,32 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
         raise ConfigError(f"active probability must lie in (0, 1], got {p_a}")
     _check_antennas(antennas)
     return OutageResult(
-        p_out=_p_out(threshold, p_a, int(antennas), alpha),
+        p_out=_p_outs([threshold], p_a, int(antennas), alpha)[0],
         threshold=threshold,
         p_a=p_a,
         antennas=int(antennas),
         alpha=alpha,
     )
+
+
+def _interval_nodes(u: float) -> list[float]:
+    """``u`` followed by the other 20 nodes of the QAGS interval centred on it.
+
+    QAGS bisects [0, 1], so each interval is [j/2^k, (j+1)/2^k] and its
+    centre is an odd multiple of 2^-(k+1), the half-width.  The nodes are
+    ``centre -/+ half_width * xgk``, computed as QUADPACK computes them; the
+    product is exact, so only the sum rounds.  A ``u`` that is no such
+    centre gives ``[u]``.
+    """
+    den = u.as_integer_ratio()[1]
+    if not 2 <= den <= _MAX_DYADIC_DENOMINATOR:
+        return [u]
+    half = 1.0 / den
+    nodes = [u]
+    for x in _XGK:
+        step = half * x
+        nodes += (u - step, u + step)
+    return nodes
 
 
 @lru_cache(maxsize=4096)
@@ -241,6 +302,15 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
     Raises QuadratureError when the absolute tolerance (in bits/s/Hz)
     cannot be certified.  Pure in its arguments, so results are memoized.
     The inputs are checked once here, not at every quadrature node.
+
+    QAGS applies the 21-point Gauss-Kronrod rule one interval at a time and
+    asks for the interval's centre first.  So a call at a dyadic ``u``
+    evaluates all 21 nodes of the interval centred there as one batch
+    (:func:`_interval_nodes`, :func:`_p_outs`) and keeps the other 20
+    values, keyed by their exact ``u``, for the calls that follow.  Every
+    value is the one a call at that ``u`` alone computes, bit for bit: the
+    coefficients and solutions of a node depend only on its threshold.  A
+    wrong prediction therefore costs time, never bits.
     """
     if not 0.0 < p_a <= 1.0:
         raise ConfigError(
@@ -250,10 +320,18 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
     _check_antennas(antennas)
     _check_alpha(alpha)
     m = int(antennas)
+    pending = {}
 
     def integrand(u):
-        t = u / (1.0 - u)
-        return (1.0 - _p_out(t, p_a, m, alpha)) / (1.0 - u)
+        value = pending.pop(u, None)
+        if value is None:
+            nodes = _interval_nodes(u)
+            thresholds = [x / (1.0 - x) for x in nodes]
+            p_outs = _p_outs(thresholds, p_a, m, alpha)
+            values = [(1.0 - p) / (1.0 - x) for x, p in zip(nodes, p_outs)]
+            pending.update(zip(nodes[1:], values[1:]))
+            value = values[0]
+        return value
 
     result = quad(
         integrand, 0.0, 1.0, epsabs=abs_tol * LN2 * 0.25, epsrel=1e-10,

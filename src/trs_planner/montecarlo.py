@@ -46,6 +46,10 @@ from .coverage import ConfigError, NetworkConfig, active_probability
 
 THREADS_ENV_VAR = "TRS_PLANNER_THREADS"
 _TRUNCATION_FRACTION = 1e-3
+# Users placed and queried per step of a Voronoi-occupancy scan.  On one core,
+# 1024 and 4096 ran alike where the scan stops early, and 16384 took 40%
+# longer; 4096 makes fewer queries where the scan reads every user.
+_USER_CHUNK = 4096
 
 
 class ActivityModel(enum.Enum):
@@ -170,6 +174,11 @@ def _stations(cfg: McConfig, geom, act):
     The geometry stream draws the station count, radii and angles; the
     activity stream draws the users.  ``occupied`` is None under independent
     thinning, whose activity draws depend on the serving station.
+
+    Both user arrays are drawn in full, so the stream and every later draw
+    are as before.  The users are placed and queried ``_USER_CHUNK`` at a
+    time, and the scan stops once every station is occupied: the occupied
+    set depends only on the positions, so the result is the full query's.
     """
     radius = cfg.window_radius
     n_bs = geom.poisson(cfg.expected_stations)
@@ -182,10 +191,13 @@ def _stations(cfg: McConfig, geom, act):
     if n_users:
         u_r = radius * np.sqrt(act.random(n_users))
         u_theta = 2.0 * math.pi * act.random(n_users)
-        xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-        users = np.column_stack((u_r * np.cos(u_theta), u_r * np.sin(u_theta)))
-        _, nearest = cKDTree(xy).query(users)
-        occupied[np.unique(nearest)] = True
+        tree = cKDTree(np.column_stack((r * np.cos(theta), r * np.sin(theta))))
+        for lo in range(0, n_users, _USER_CHUNK):
+            ur, ut = u_r[lo : lo + _USER_CHUNK], u_theta[lo : lo + _USER_CHUNK]
+            _, nearest = tree.query(np.column_stack((ur * np.cos(ut), ur * np.sin(ut))))
+            occupied[nearest] = True
+            if occupied.all():
+                break
     return r, occupied
 
 

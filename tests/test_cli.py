@@ -587,6 +587,9 @@ class TestAntennaCap:
         [
             (["rate", "--scenario", "sparse", "--antennas", "2048"],
              "error: antennas must be at most 1024, got 2048"),
+            # too large for a float: the cap is checked before math.isfinite
+            (["rate", "--scenario", "sparse", "--antennas", "1" + "0" * 400],
+             "error: antennas must be at most 1024, got 1" + "0" * 400),
             (["curve", "--scenario", "sparse", "--pair", "w-m", "--grid", "1e9"],
              "error: antenna grid values must be integers from 1 to 1024"),
             (["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1024"],
@@ -594,7 +597,8 @@ class TestAntennaCap:
             (["validate", "--rho-values", "1", "--m-values", "1025", "--t-values", "1",
               "--n-drops", "4", "--n-fading", "4"], "error: --m-values takes counts up to 1024"),
         ],
-        ids=["rate-antennas", "curve-grid", "trs-at", "validate-m-values"],
+        ids=["rate-antennas", "rate-antennas-beyond-float", "curve-grid", "trs-at",
+             "validate-m-values"],
     )
     def test_exit_2_naming_the_field(self, capsys, argv, named):
         code, out, err = run(argv, capsys)

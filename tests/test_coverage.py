@@ -348,6 +348,86 @@ class TestSolutionReuse:
         assert type(err.value) is kind and str(err.value) == message
 
 
+# float.hex of spectral_efficiency(p_a, M, alpha) at alpha != 4, each computed
+# cold before a quadrature interval's nodes were evaluated as one batch.
+FROZEN_SE_OTHER_ALPHA = {
+    (0.7, 1, 3.0): "0x1.8bdb14811c460p+0",
+    (0.7, 3, 3.0): "0x1.5939c6b937fa2p+1",
+    (0.7, 17, 3.0): "0x1.3bdd90b1fe994p+2",
+    (0.25, 1, 5.5): "0x1.a42011fbd3770p+2",
+    (0.25, 3, 5.5): "0x1.0f6a715e1ce1ep+3",
+    (0.25, 17, 5.5): "0x1.6410486069ca1p+3",
+    (0.95, 1, 2.5): "0x1.8dbd1d36bb213p-1",
+    (0.95, 3, 2.5): "0x1.88d7ecd87ad62p+0",
+    (0.95, 17, 2.5): "0x1.af33732bbead9p+1",
+}
+
+
+@pytest.fixture
+def counted_quadrature(monkeypatch):
+    """Per SE integral: quad's own node count, integrand calls and batch sizes."""
+    record = {"neval": 0, "calls": 0, "batches": []}
+    quadrature, p_outs = coverage.quad, coverage._p_outs
+
+    def counted_quad(f, *args, **kwargs):
+        def g(u):
+            record["calls"] += 1
+            return f(u)
+
+        result = quadrature(g, *args, **kwargs)
+        record["neval"] += result[2]["neval"]
+        return result
+
+    def counted_p_outs(thresholds, *args):
+        record["batches"].append(len(thresholds))
+        return p_outs(thresholds, *args)
+
+    monkeypatch.setattr(coverage, "quad", counted_quad)
+    monkeypatch.setattr(coverage, "_p_outs", counted_p_outs)
+    return record
+
+
+class TestIntervalBatches:
+    """Each QUADPACK interval's 21 nodes are evaluated as one batch, bit for bit."""
+
+    @pytest.mark.parametrize("key", sorted(FROZEN_SE_OTHER_ALPHA))
+    def test_cold_values_keep_bits(self, key):
+        coverage._solutions.cache_clear()
+        assert se_bits(*key) == FROZEN_SE_OTHER_ALPHA[key]
+
+    @pytest.mark.parametrize("antennas", [1, 3])
+    def test_one_batch_per_interval(self, counted_quadrature, antennas):
+        # fails if the quadrature stops asking for each interval's centre
+        # first, or computes its nodes another way
+        coverage._solutions.cache_clear()
+        se_bits(0.7, antennas, 3.0)
+        batches = counted_quadrature["batches"]
+        assert batches and set(batches) == {21}
+        assert counted_quadrature["calls"] == counted_quadrature["neval"] == 21 * len(batches)
+
+    @pytest.mark.parametrize("mode", ["scalar", "mispredicted"])
+    def test_other_node_sets_keep_bits(self, monkeypatch, mode):
+        interval_nodes = coverage._interval_nodes
+
+        def halved(u):
+            # the nodes of an interval half as wide: only the centre is asked for
+            nodes = interval_nodes(u)
+            return [u] + [u + (x - u) * 0.5 for x in nodes[1:]]
+
+        monkeypatch.setattr(coverage, "_interval_nodes", (lambda u: [u]) if mode == "scalar" else halved)
+        for key in [(0.7, 1, 3.0), (0.25, 3, 5.5), (0.95, 17, 2.5)]:
+            coverage._solutions.cache_clear()
+            assert se_bits(*key) == FROZEN_SE_OTHER_ALPHA[key], key
+
+    def test_interval_nodes(self):
+        assert coverage._interval_nodes(0.3) == [0.3]
+        assert coverage._interval_nodes(1.0 / 3.0) == [1.0 / 3.0]
+        nodes = coverage._interval_nodes(0.375)  # centre of [1/4, 1/2]
+        assert len(nodes) == 21 and nodes[0] == 0.375
+        assert max(nodes) < 0.5 and min(nodes) > 0.25
+        assert nodes[1] == 0.375 - 0.125 * coverage._XGK[0]
+
+
 class TestAntennaCap:
     def test_config(self):
         assert NetworkConfig(lambda_b=10.0, lambda_u=100.0, antennas=MAX_ANTENNAS).antennas == 1024

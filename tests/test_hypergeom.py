@@ -78,7 +78,7 @@ def integral_k(i, threshold, alpha):
 
 def test_budget_exhaustion_raises():
     with pytest.raises(HypergeometricError):
-        _series(1.0, 1.0, 1.5, 0.9, 1.0, max_terms=5)
+        _series(1.0, 1.5, 0.9, 1.0, max_terms=5)
 
 
 class TestCoeffK:
@@ -241,9 +241,9 @@ class TestFrozenBits:
         starts = []
         block = hypergeom._block
 
-        def counted(a, b, c, w, n, *args):
+        def counted(a, c, w, n, *args):
             starts.append(n)
-            return block(a, b, c, w, n, *args)
+            return block(a, c, w, n, *args)
 
         monkeypatch.setattr(hypergeom, "_block", counted)
         values = coefficient_table(size, *key)
@@ -253,9 +253,10 @@ class TestFrozenBits:
             assert coeff_k(i, *key).hex() == expected, i
 
     def test_series_outrunning_sized_block_keeps_bits(self):
-        # needs ~900 terms, more than one sized block (416 terms at w = 0.9)
-        total = _series(8.0, 8.9, 9.0, 0.9, 1.0, hypergeom.MAX_TERMS)
-        assert total.hex() == "0x1.326938f830b10p+26"
+        # needs 583 terms, more than one sized block (416 terms at w = 0.9);
+        # the bits are those of the series with b = 1 before b was dropped
+        total = _series(20.0, 9.0, 0.9, 1.0, hypergeom.MAX_TERMS)
+        assert total.hex() == "0x1.d4fce48a45de9p+24"
 
     @pytest.mark.parametrize("key", [(2.0, 3.5), (50.0, 2.2)])
     def test_rows_outrunning_batched_block_keep_bits(self, fresh_tables, series_calls, monkeypatch, key):
@@ -309,3 +310,60 @@ class TestFrozenBits:
             coeff_k(0, threshold, alpha)
         with pytest.raises(ValueError, match="finite"):
             coefficient_table(2, threshold, alpha)
+
+
+# thresholds either side of w = 0.99 (T = 99), where k_0 and the low orders
+# switch to the connection formula, and of 1 - w = 40/4096 (T = 101.4), where
+# the near-unit direct rows lose their sized first block
+BATCH_THRESHOLDS = [0.5, 98.9, 99.1, 101.3, 101.5, 1e4]
+BATCH_SIZE = 120  # direct rows return at i * (1 - w) > 1, so i > 100 near w = 0.99
+
+
+class TestBatchedTables:
+    """Many thresholds in one call give every bit of one threshold at a time."""
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
+    def test_fresh_tables_match_one_at_a_time(self, fresh_tables, monkeypatch, alpha):
+        batched = coefficient_table(BATCH_SIZE, BATCH_THRESHOLDS, alpha)
+        for t, table in zip(BATCH_THRESHOLDS, batched):
+            assert len(table) == BATCH_SIZE
+            assert [v.hex() for v in table] == [coeff_k(i, t, alpha).hex() for i in range(BATCH_SIZE)], t
+        monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(hypergeom._TABLE_CACHE_COEFFS))
+        alone = [coefficient_table(BATCH_SIZE, t, alpha) for t in BATCH_THRESHOLDS]
+        assert [[v.hex() for v in table] for table in batched] == [
+            [v.hex() for v in table] for table in alone
+        ]
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
+    def test_grown_tables_match_one_at_a_time(self, fresh_tables, monkeypatch, alpha):
+        # some tables cached short, one absent, one already long enough
+        coefficient_table(3, BATCH_THRESHOLDS[1:4], alpha)
+        coefficient_table(BATCH_SIZE + 5, BATCH_THRESHOLDS[-1], alpha)
+        grown = coefficient_table(BATCH_SIZE, BATCH_THRESHOLDS, alpha)
+        monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(hypergeom._TABLE_CACHE_COEFFS))
+        alone = [coefficient_table(BATCH_SIZE, t, alpha) for t in BATCH_THRESHOLDS]
+        assert [[v.hex() for v in table] for table in grown] == [
+            [v.hex() for v in table] for table in alone
+        ]
+
+    def test_one_extension_for_all_misses(self, fresh_tables, monkeypatch):
+        calls = []
+        coeff_range = hypergeom._coeff_range
+
+        def counted(jobs, alpha):
+            calls.append(list(jobs))
+            return coeff_range(jobs, alpha)
+
+        monkeypatch.setattr(hypergeom, "_coeff_range", counted)
+        coefficient_table(2, [1.0, 2.0], 4.0)
+        tables = coefficient_table(4, [2.0, 3.0, 1.0, 3.0], 4.0)
+        assert calls == [[(1.0, 0, 2), (2.0, 0, 2)], [(2.0, 2, 4), (3.0, 0, 4), (1.0, 2, 4)]]
+        assert tables[1] == tables[3] and all(len(table) == 4 for table in tables)
+        assert coefficient_table(4, (3.0,), 4.0) == [tables[1]]
+        assert len(calls) == 2
+
+    def test_many_threshold_domain_errors(self):
+        with pytest.raises(ValueError, match="finite"):
+            coefficient_table(2, [1.0, math.nan], 4.0)
+        with pytest.raises(ValueError, match="positive"):
+            coefficient_table(2, [1.0, 0.0], 4.0)

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from trs_planner import montecarlo
 from trs_planner.coverage import ConfigError, NetworkConfig, active_probability, outage_probability
@@ -178,6 +179,56 @@ class TestActivityGap:
         # paired differencing must be tighter than independent comparison
         independent = math.hypot(report.voronoi.std_error, report.thinning.std_error)
         assert report.gap.std_error <= independent
+
+
+def full_scan_occupancy(cfg, drop):
+    """A drop's station radii and occupancy from querying every user at once."""
+    geom, act, _ = montecarlo._drop_streams(cfg.seed, drop)
+    radius = cfg.window_radius
+    n_bs = geom.poisson(cfg.expected_stations)
+    r = radius * np.sqrt(geom.random(n_bs))
+    theta = 2.0 * math.pi * geom.random(n_bs)
+    n_users = act.poisson(cfg.expected_users)
+    u_r = radius * np.sqrt(act.random(n_users))
+    u_theta = 2.0 * math.pi * act.random(n_users)
+    xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    users = np.column_stack((u_r * np.cos(u_theta), u_r * np.sin(u_theta)))
+    occupied = np.zeros(n_bs, dtype=bool)
+    occupied[cKDTree(xy).query(users)[1]] = True
+    return r, occupied, n_users, act.random(4)
+
+
+class TestOccupancyEarlyExit:
+    """Scanning users in chunks until every station is occupied gives the full query's answer."""
+
+    @pytest.mark.parametrize(
+        "kw, saturates",
+        [
+            (dict(lambda_b=1.0, lambda_u=1000.0, window_factor=10.0, seed=8), True),
+            (dict(lambda_b=10.0, lambda_u=100.0, seed=3), False),
+        ],
+        ids=["saturating", "stations-left-empty"],
+    )
+    def test_matches_full_query(self, monkeypatch, kw, saturates):
+        cfg = make_cfg(model=ActivityModel.VORONOI_OCCUPANCY, n_drops=4, **kw)
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "cKDTree", CountingTree)
+        for drop in range(cfg.n_drops):
+            queried.clear()
+            geom, act, _ = montecarlo._drop_streams(cfg.seed, drop)
+            r, occupied = montecarlo._stations(cfg, geom, act)
+            full_r, full_occupied, n_users, next_draws = full_scan_occupancy(cfg, drop)
+            assert n_users > 2 * montecarlo._USER_CHUNK
+            assert np.array_equal(r, full_r) and np.array_equal(occupied, full_occupied)
+            assert np.array_equal(act.random(4), next_draws)  # later draws are unchanged
+            assert occupied.all() == saturates
+            assert (sum(queried) < n_users) == saturates
 
 
 class TestConfigValidation:
