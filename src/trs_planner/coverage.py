@@ -326,7 +326,13 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
         value = pending.pop(u, None)
         if value is None:
             nodes = _interval_nodes(u)
-            thresholds = [x / (1.0 - x) for x in nodes]
+            try:
+                thresholds = [x / (1.0 - x) for x in nodes]
+            except ZeroDivisionError:
+                raise QuadratureError(
+                    "spectral-efficiency quadrature reached a node that rounds to "
+                    f"u = 1 (an infinite SINR threshold) at p_a={p_a}, M={m}, alpha={alpha}"
+                ) from None
             p_outs = _p_outs(thresholds, p_a, m, alpha)
             values = [(1.0 - p) / (1.0 - x) for x, p in zip(nodes, p_outs)]
             pending.update(zip(nodes[1:], values[1:]))

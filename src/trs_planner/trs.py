@@ -33,7 +33,7 @@ from .coverage import (
 )
 
 RATE_REL_TOL = 1e-6
-DENSITY_REL_TOL = 1e-8
+DENSITY_REL_TOL = 1e-10
 MAX_DENSITY_RATIO = 1e4
 CENTRAL_REL_STEP = 1e-3
 
@@ -130,9 +130,15 @@ def required_density(
 ) -> float:
     """Station density meeting the target rate at fixed bandwidth.
 
-    Bisection on the monotone map lambda_b -> rate; the bracket auto-expands
-    up to ``MAX_DENSITY_RATIO * lambda_u``.  Raises InfeasibleError when no
-    density within the bracket reaches the demand: once the bandwidth share
+    The rate rises monotonically with lambda_b, so the density is the root
+    of rate(lambda_b) - target.  A bracket is found first: its top end
+    grows fourfold from ``lambda_u`` up to ``MAX_DENSITY_RATIO * lambda_u``
+    and its bottom end shrinks fourfold.  Brent's method (Brent, 1973) then
+    narrows it to ``DENSITY_REL_TOL`` relative width, by inverse quadratic
+    or secant interpolation with a bisection safeguard, starting from the
+    rates already computed at the bracket ends; the endpoint with the
+    smaller residual is returned.  Raises InfeasibleError when no density
+    within the bracket reaches the demand: once the bandwidth share
     saturates the rate grows only logarithmically with density, so demands
     can sit effectively out of reach.
     """
@@ -144,7 +150,7 @@ def required_density(
 
     cap = MAX_DENSITY_RATIO * lambda_u
     lo = hi = lambda_u
-    while rate(hi) < target_rate_mbps:
+    while (rate_hi := rate(hi)) < target_rate_mbps:
         if hi >= cap:
             raise InfeasibleError(
                 f"infeasible demand: {target_rate_mbps} Mbps not reached at the "
@@ -153,25 +159,56 @@ def required_density(
             )
         hi = min(hi * 4.0, cap)
     for _ in range(60):
-        if rate(lo) <= target_rate_mbps:
+        if (rate_lo := rate(lo)) <= target_rate_mbps:
             break
         lo /= 4.0
     else:
         raise InfeasibleError(f"demand met even at vanishing density (lambda_b={lo:.3g})")
 
-    while (hi - lo) > DENSITY_REL_TOL * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        if rate(mid) < target_rate_mbps:
-            lo = mid
+    # Brent-Dekker: b is the best estimate, c keeps f(c) of the other sign
+    # (the root lies between b and c), a is the previous b.
+    a, fa = lo, rate_lo - target_rate_mbps
+    b, fb = hi, rate_hi - target_rate_mbps
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * DENSITY_REL_TOL * b
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            break
+        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:  # secant through a and b
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # keep the step only if it lands well inside the bracket and is
+            # under half the step before last
+            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        if interpolate:
+            e, d = d, p / q
         else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    achieved = rate(lam)
-    if abs(achieved - target_rate_mbps) > RATE_REL_TOL * target_rate_mbps:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = rate(b) - target_rate_mbps
+    if abs(fb) > RATE_REL_TOL * target_rate_mbps:
         raise ArithmeticError(
-            f"bisection landed at {achieved} Mbps against target {target_rate_mbps}"
+            f"density solve landed at {fb + target_rate_mbps} Mbps against target {target_rate_mbps}"
         )
-    return lam
+    return b
 
 
 def required_antennas(

@@ -111,6 +111,13 @@ class TestRate:
         code, _, err = run(["rate", "--scenario", "sparse"], capsys)
         assert code == 3 and "numeric failure" in err
 
+    def test_node_at_infinite_threshold_exit_3(self, capsys):
+        argv = "rate --lambda-b 150 --lambda-u 1 --antennas 8 --bandwidth-mhz 20 --alpha 6.4"
+        code, out, err = run(argv.split(), capsys)
+        assert code == 3 and out == ""
+        assert "numeric failure: spectral-efficiency quadrature" in err
+        assert "division by zero" not in err
+
 
 class TestCurve:
     def test_csv_shape_and_roundtrip(self, capsys):

@@ -17,6 +17,7 @@ from trs_planner.coverage import (
     ConfigError,
     LoadModel,
     NetworkConfig,
+    QuadratureError,
     active_probability,
     mean_load_share,
     outage_probability,
@@ -217,14 +218,19 @@ class TestSpectralEfficiency:
         assert spectral_efficiency(1e-5, 1, 4.0, abs_tol=1e-3) > 20.0
 
     def test_unreachable_tolerance_raises(self):
-        from trs_planner.coverage import QuadratureError
-
         with pytest.raises(QuadratureError):
             spectral_efficiency(1e-5, 1, 4.0, abs_tol=1e-9)
 
     def test_zero_activity_guarded(self):
         with pytest.raises(ConfigError):
             spectral_efficiency(0.0, 1, 4.0)
+
+    def test_node_rounding_to_one_is_a_quadrature_error(self):
+        # at high alpha and low activity QAGS subdivides next to u = 1 until
+        # a node rounds to 1.0, where T = u/(1-u) is infinite
+        p_a = active_probability(150.0)
+        with pytest.raises(QuadratureError, match=r"u = 1 .*p_a=0\.0066.*M=8, alpha=6\.4"):
+            coverage.mean_log2_sinr(p_a, 8, 6.4)
 
 
 # float.hex of spectral_efficiency(p_a, M, alpha), each computed cold before the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trs_planner import coverage
+from trs_planner import coverage, trs
 from trs_planner.coverage import MAX_ANTENNAS, ConfigError, LoadModel, NetworkConfig, user_rate
 from trs_planner.trs import (
     InfeasibleError,
@@ -60,7 +60,7 @@ class TestRequiredDensity:
     def test_roundtrip_sparse_point(self):
         w = required_spectrum(15.0, **SPARSE)
         lam = required_density(15.0, w, 1, 100.0)
-        assert lam == pytest.approx(10.0, rel=1e-6)
+        assert lam == pytest.approx(10.0, rel=1e-9)
 
     def test_rate_monotone_in_density(self):
         w = 50.0
@@ -75,6 +75,70 @@ class TestRequiredDensity:
         # demand at tiny bandwidth exhausts the bracket expansion
         with pytest.raises(InfeasibleError):
             required_density(1e9, 1.0, 1, 100.0)
+
+
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """Counts the planner's rate evaluations (``trs.user_rate`` calls)."""
+    calls = []
+    real = trs.user_rate
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(trs, "user_rate", counted)
+    return calls
+
+
+# A density solve's rate evaluations, bracket included; bisection to the
+# same tolerance took over 30.
+MAX_DENSITY_RATE_EVALS = 16
+
+
+class TestDensityRootCertificate:
+    """Checks on the returned density that hold for any correct root finder:
+    the rate crosses the demand within 1e-9 of it, exact roots are found,
+    and a solve stays within its evaluation budget."""
+
+    # (lambda_b the demand is scaled from, lambda_u, load model): a shared
+    # bandwidth (mean round-robin share about 0.1) and a saturated share of 1
+    REGIMES = [(10.0, 100.0, LoadModel.MEAN_LOAD), (1000.0, 100.0, LoadModel.NO_SHARING)]
+
+    @pytest.mark.parametrize("lam0,lambda_u,load_model", REGIMES)
+    @pytest.mark.parametrize("antennas", [1, 4])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+    def test_rate_crosses_the_demand_at_the_answer(
+        self, lam0, lambda_u, load_model, antennas, alpha, rate_calls
+    ):
+        w = 20.0
+        held = (antennas, lambda_u, alpha, load_model)
+        target = 1.5 * trs._rate(lam0, w, *held)
+        rate_calls.clear()
+        lam = required_density(target, w, *held)
+        assert len(rate_calls) <= MAX_DENSITY_RATE_EVALS
+        below = trs._rate(lam * (1.0 - 1e-9), w, *held)
+        above = trs._rate(lam * (1.0 + 1e-9), w, *held)
+        assert below < target <= above
+
+    @pytest.mark.parametrize("point,target", [(SPARSE, 15.0), (DENSE, 420.0)])
+    def test_usage_doubling_doubles_density(self, point, target, rate_calls):
+        # the rate depends on the densities only through rho = lambda_b/lambda_u,
+        # so doubling lambda_u at the same demand needs exactly twice lambda_b
+        w = required_spectrum(target, **point)
+        rate_calls.clear()
+        lam = required_density(target, w, 1, 2.0 * point["lambda_u"])
+        assert len(rate_calls) <= MAX_DENSITY_RATE_EVALS
+        assert lam == pytest.approx(2.0 * point["lambda_b"], rel=1e-9)
+
+    @pytest.mark.parametrize("end", [0.25, 1.0, 4.0])
+    def test_demand_met_at_a_bracket_end_returns_that_end(self, end, rate_calls):
+        # the bracket's ends are lambda_u times powers of four
+        lam = end * 100.0
+        target = trs._rate(lam, 20.0, 1, 100.0, 4.0, LoadModel.MEAN_LOAD)
+        rate_calls.clear()
+        assert required_density(target, 20.0, 1, 100.0) == lam
+        assert len(rate_calls) <= 3
 
 
 class TestRequiredAntennas:
@@ -281,7 +345,13 @@ class TestDoublingScenario:
 
 class TestFrozenBits:
     """Exact answers on the built-in scenarios, recorded before the planner's
-    duplicated rate, curve and step code was folded into one path each."""
+    duplicated rate, curve and step code was folded into one path each.
+
+    Rule for a change of numerical method: a pin it breaks becomes a check at
+    the solver's certified tolerance against the same recorded value, and is
+    never re-recorded to the new bits.  The density pins were recorded from a
+    bisection midpoint accurate to about 5e-9, so they compare at 1e-8
+    relative; every other pin compares bits."""
 
     def base_spectrum(self):
         return required_spectrum(15.0, **SPARSE), required_spectrum(420.0, **DENSE)
@@ -293,8 +363,10 @@ class TestFrozenBits:
 
     def test_required_density(self):
         w_sparse, w_dense = self.base_spectrum()
-        assert required_density(30.0, w_sparse, 1, 100.0).hex() == "0x1.457bfe8f50000p+4"
-        assert required_density(420.0, w_dense, 1, 200.0).hex() == "0x1.f3fffffb50000p+10"
+        sparse = float.fromhex("0x1.457bfe8f50000p+4")
+        dense = float.fromhex("0x1.f3fffffb50000p+10")
+        assert required_density(30.0, w_sparse, 1, 100.0) == pytest.approx(sparse, rel=1e-8)
+        assert required_density(420.0, w_dense, 1, 200.0) == pytest.approx(dense, rel=1e-8)
 
     def test_required_antennas(self):
         w_sparse, w_dense = self.base_spectrum()
