@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -540,9 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building the tree costs more than a memo-hit command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; repeated calls in a process share one parser and the planner's caches."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

@@ -24,9 +24,10 @@ keeps that part of the last two runs, keyed by the config with its antenna
 count normalised to 1 and by the worker-thread count, together with the fade
 stream's Philox state right after the interference draw.  Another antenna
 count, or another threshold on the same config, then only draws the desired
-gains, from a generator restored to that state.  The restored generator
-continues the very stream a cold run would draw from, so the bits are the
-same either way.
+gains, from a generator restored to that state: each ``sinr_samples`` call
+makes one Philox and restores every drop's state into it in turn.  The
+restored generator continues the very stream a cold run would draw from, so
+the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -204,8 +205,8 @@ def _stations(cfg: McConfig, geom, act):
 def _drop_interference(cfg: McConfig, drop: int):
     """The part of a drop every antenna count shares, or None for an empty window.
 
-    Returns the serving distance, the interference per fading sample, the
-    active interferer count and the fade stream's state after the
+    Returns the serving distance, the interference per fading sample and its
+    mean, the active interferer count and the fade stream's state after the
     interference draw, from which ``_drop_sinr`` draws the desired gain.
     """
     net = cfg.network
@@ -230,25 +231,31 @@ def _drop_interference(cfg: McConfig, drop: int):
     h = fade.exponential(1.0, size=(n_fad, others.size)) if others.size else np.zeros((n_fad, 0))
     interference = h @ weights if others.size else np.zeros(n_fad)
     interference.flags.writeable = False  # the memo hands it to every run it serves
-    return r[serving], interference, int(active_mask.sum()), fade.bit_generator.state
+    return (
+        r[serving], interference, float(interference.mean()), int(active_mask.sum()),
+        fade.bit_generator.state,
+    )
 
 
-def _drop_sinr(cfg: McConfig, shared):
-    """One drop's SINR, gain, mean interference and active count at ``cfg``'s antenna count."""
+def _drop_sinr(cfg: McConfig, shared, fade: np.random.Generator):
+    """One drop's SINR, gain, mean interference and active count at ``cfg``'s antenna count.
+
+    ``fade`` is the caller's generator; the drop's saved fade state is
+    restored into its Philox before the desired gain is drawn.
+    """
     n_fad = cfg.n_fading_per_drop
     if shared is None:
         nan = np.full(n_fad, np.nan)
         return nan, nan, math.nan, 0
     net = cfg.network
-    r_serving, interference, n_active, fade_state = shared
-    bits = np.random.Philox(0)
-    bits.state = fade_state
-    gain = np.random.Generator(bits).exponential(1.0, size=(net.antennas, n_fad)).sum(axis=0)
+    r_serving, interference, mean_interference, n_active, fade_state = shared
+    fade.bit_generator.state = fade_state
+    gain = fade.exponential(1.0, size=(net.antennas, n_fad)).sum(axis=0)
     signal = net.tx_power * gain * r_serving ** (-net.alpha)
     denom = interference + net.noise_power
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, signal / np.where(denom > 0.0, denom, 1.0), np.inf)
-    return sinr, gain, float(interference.mean()), n_active
+    return sinr, gain, mean_interference, n_active
 
 
 @dataclass(frozen=True)
@@ -282,7 +289,9 @@ def _shared_drops(key: _SharedKey) -> list:
 
 def sinr_samples(cfg: McConfig) -> SinrSamples:
     """SINR realizations for every (drop, fading) pair, deterministically."""
-    results = [_drop_sinr(cfg, shared) for shared in _shared_drops(_SharedKey.of(cfg))]
+    # one generator per call, never per module: concurrent callers restore their own states
+    fade = np.random.Generator(np.random.Philox(0))
+    results = [_drop_sinr(cfg, shared, fade) for shared in _shared_drops(_SharedKey.of(cfg))]
     sinr = np.stack([res[0] for res in results])
     gain = np.stack([res[1] for res in results])
     mean_i = np.array([res[2] for res in results])

@@ -150,7 +150,8 @@ def required_density(
 
     cap = MAX_DENSITY_RATIO * lambda_u
     lo = hi = lambda_u
-    while (rate_hi := rate(hi)) < target_rate_mbps:
+    rate_hi = rate_u = rate(lambda_u)  # both ends start here
+    while rate_hi < target_rate_mbps:
         if hi >= cap:
             raise InfeasibleError(
                 f"infeasible demand: {target_rate_mbps} Mbps not reached at the "
@@ -158,8 +159,9 @@ def required_density(
                 "logarithmically once the bandwidth share saturates)"
             )
         hi = min(hi * 4.0, cap)
+        rate_hi = rate(hi)
     for _ in range(60):
-        if (rate_lo := rate(lo)) <= target_rate_mbps:
+        if (rate_lo := rate_u if lo == lambda_u else rate(lo)) <= target_rate_mbps:
             break
         lo /= 4.0
     else:

@@ -1,5 +1,6 @@
 """CLI contract tests: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -622,3 +623,48 @@ class TestAntennaCap:
         )
         assert code == 2 and out == ""
         assert "max_antennas must be >= 1 and at most 1024, got 1025" in err
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, and no call leaks into the next."""
+
+    # the first command sets no flag that a later one sets
+    SESSION = [
+        ["rate", "--scenario", "sparse", "--output", "human"],
+        ["rate", "--scenario", "dense", "--antennas", "2"],
+        ["curve", "--scenario", "sparse", "--pair", "w-m", "--grid", "1,2"],
+        ["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1,4"],
+        ["scenario", "--scenario", "sparse", "--mode", "double-rate", "--lever", "spectrum"],
+    ]
+
+    def test_many_calls_build_one_parser_tree(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert cli.build_parser() is not cli.build_parser()  # the public builder stays fresh
+        tree = len(built) // 2
+        assert tree > 1  # the top-level parser and one per subcommand
+        built.clear()
+        cli._parser.cache_clear()
+        for argv in self.SESSION * 2:
+            assert run(argv, capsys)[0] == 0
+        assert len(built) == tree
+
+    def test_a_session_leaks_nothing_into_later_calls(self, capsys, tmp_path):
+        first = [run(argv, capsys) for argv in self.SESSION]
+        assert all(code == 0 and out and err == "" for code, out, err in first)
+        with pytest.raises(SystemExit) as unknown_flag:
+            cli.main(["rate", "--scenario", "sparse", "--frobnicate"])
+        assert unknown_flag.value.code == 2
+        code, out, err = run(["rate", "--lambda-b", "10"], capsys)
+        assert code == 2 and out == "" and "missing ['--lambda-u']" in err
+        path = tmp_path / "rate.json"
+        assert run([*self.SESSION[1], "--out", str(path)], capsys) == (0, "", "")
+        assert path.read_text() == first[1][1]
+        # byte-identical again: no earlier --out, --output or --antennas sticks
+        assert [run(argv, capsys) for argv in self.SESSION] == first

@@ -140,6 +140,18 @@ class TestDensityRootCertificate:
         assert required_density(target, 20.0, 1, 100.0) == lam
         assert len(rate_calls) <= 3
 
+    # lambda_b the demand is scaled from: far below lambda_u = 100 (the bottom
+    # end shrinks), near it, and far above it (the top end grows)
+    @pytest.mark.parametrize("lam0", [1.0, 80.0, 100.0, 30000.0])
+    def test_no_density_is_evaluated_twice(self, lam0, rate_calls):
+        held = (1, 100.0, 4.0, LoadModel.MEAN_LOAD)
+        target = 1.5 * trs._rate(lam0, 20.0, *held)
+        rate_calls.clear()
+        required_density(target, 20.0, *held)
+        densities = [cfg.lambda_b for cfg in rate_calls]
+        assert 100.0 in densities
+        assert len(set(densities)) == len(densities)
+
 
 class TestRequiredAntennas:
     def test_single_antenna_suffices(self):
