@@ -20,26 +20,24 @@ accuracy for high order ``i`` when ``i * (1 - w)`` is large; in that regime
 the direct series is short relative to ``i`` and is used instead, keeping
 every row accurate to ~1e-13 relative.
 
-Summation: :func:`_series` is the reference loop, summing full numpy blocks
-of ``_BLOCK`` terms until the first window of small terms.  Most rows stop
-after a few dozen terms, so :func:`_coeff_range` first sums each row as a
-sized first block of ``16 + 40/(1-x)`` terms at series argument ``x`` (a
-series whose term ratio tends to ``x`` falls below the stop tolerance after
-about ``37/(1-x)`` terms).  It takes many ``(threshold, start, stop)`` jobs
-at one ``alpha``, so the rows of many thresholds share one pass: they are
-grouped by budget, sorted by sized-block length and summed as 2-D blocks,
-one row per series, each row with its own ``a``, ``c``, scale and argument
-as columns, then given its finish.
+Summation: :func:`_sums` is the one loop.  It sums a batch of rows, each
+with its own ``a``, ``c``, scale and argument ``x`` as columns, in 2-D
+numpy blocks until each row's first window of three small terms.  Most rows
+stop after a few dozen terms, so a row's first block is sized to
+``16 + 40/(1-x)`` terms, capped at ``_BLOCK`` (a series whose term ratio
+tends to ``x`` falls below the stop tolerance after about ``37/(1-x)``
+terms); later blocks hold ``_BLOCK`` terms.  :func:`_coeff_range` takes
+many ``(threshold, start, stop)`` jobs at one ``alpha``, so the rows of many
+thresholds share one pass: they are sorted by first-block length, summed in
+chunks padded to the longest, then given their finish.
 
-Why a batched row keeps the bits of :func:`_series`: every step is an
-elementwise IEEE operation on that row's own columns (``cumprod`` and
-``cumsum`` run sequentially along the row), so a row's terms do not depend
-on its neighbours.  A block padded to the longest row of its batch is still
-a prefix of the row's own first ``_BLOCK``-term block, so its first stop
-window, if inside, is the one :func:`_series` finds, and the summed slice
-has the same length and values.  A row outrunning its block, and a
-near-unit direct row whose argument gets no sized block, is summed by
-:func:`_series`.
+Why a row's bits do not depend on its batch: every step is an elementwise
+IEEE operation on that row's own columns, and ``cumprod`` and ``cumsum``
+run sequentially along the row.  A first block padded to the longest row of
+its chunk is a prefix of the row's own ``_BLOCK``-term first block, so its
+first stop window, if inside, is the one full blocks find.  A row whose
+window is not inside a sized first block is summed again from term 0 in
+full blocks, where its terms and stop match those of the row summed alone.
 
 Coefficient tables: :func:`coefficient_table` keeps, per ``(T, alpha)``, the
 longest prefix ``k_0 .. k_{n-1}`` computed so far and extends it on demand,
@@ -55,12 +53,10 @@ import threading
 import numpy as np
 from scipy.special import gammaln
 
-MAX_TERMS = 100_000
-MAX_TERMS_NEAR_UNIT = 2_000_000
+MAX_TERMS = 2_000_000
 NEAR_UNIT_W = 0.99
 _BLOCK = 4096
 _STOP_REL = 1e-16
-_CONSECUTIVE_SMALL = 3
 # elements per temporary of a batched first block (512 KB of float64)
 _BATCH_CELLS = 1 << 16
 # padding cells a batched block may add to save a block of its own, about
@@ -92,9 +88,10 @@ def _block(a, c, w, n, m, term, total):
     """Terms ``n .. n+m-1`` of the series and their below-tolerance flags.
 
     ``term`` is the term before the block and ``total`` the partial sum so
-    far.  Scalars give one row; column arrays for ``a``, ``c``, ``w``,
-    ``term`` and ``total`` give one row per series, each with the same
-    arithmetic.  Two arrays are allocated; every other step runs in place.
+    far.  ``a``, ``c``, ``w``, ``term`` and ``total`` are column arrays, one
+    row per series; ``cumprod`` and ``cumsum`` run sequentially along each
+    row, so a row's bits do not depend on its neighbours.  Two arrays are
+    allocated; every other step runs in place.
     The ``(b+n)`` factor of ``2F1(a, b; c; w)`` at ``b = 1`` is the
     ``n + 1.0`` array (``1.0 + n == n + 1.0`` in IEEE arithmetic), and every
     term and partial sum is non-negative, so the stop test takes no ``abs``.
@@ -118,104 +115,72 @@ def _block(a, c, w, n, m, term, total):
     return terms, terms < partials
 
 
-def _compensated_add(total, comp, x):
-    """Neumaier step: add ``x`` to ``total``, carrying the rounding in ``comp``."""
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
+def _head_terms(x):
+    """Length of the sized first block at series argument ``x``."""
+    return min(_BLOCK, 16 + int(40.0 / (1.0 - x)))
 
 
-def _head_terms(w, max_terms):
-    """Length of the sized first block at series argument ``w``."""
-    full = min(_BLOCK, max_terms)
-    if 1.0 - w <= 40.0 / full:
-        return full
-    return min(full, 16 + int(40.0 / (1.0 - w)))
+def _sums(columns, m):
+    """``scale * 2F1(a, 1; c; x)`` for each row, by blocked term recurrence.
 
-
-def _head_sums(a, c, w, scales, m):
-    """``_series`` results from an ``m``-term first block, one per row.
-
-    ``a``, ``c``, ``w`` and ``scales`` are column arrays, one row per series.
-    A row whose stop window does not fall inside the block gives None.
+    ``columns`` stacks the column arrays ``x``, ``a``, ``c`` and ``scale``,
+    one row per series, with ``0 <= x < 1``.  Terms follow
+    ``t_{n+1} = t_n * (a+n)(1+n) / ((c+n)(n+1)) * x`` from ``t_0 = scale``,
+    and a row stops at the first three consecutive terms below
+    ``_STOP_REL`` times its running sum; the last flags of a block carry
+    into the next, so that window may straddle a block edge.  The first
+    block holds ``m`` terms and every later one ``_BLOCK``; each block's
+    terms up to the stop join the row's total with Neumaier compensation.
+    A row that does not stop inside a sized first block (``m < _BLOCK``) is
+    summed again from term 0 in full blocks.
     """
-    terms, small = _block(a, c, w, 0, m, scales, scales)
-    window = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-    sums = []
-    for row, scale, first, found in zip(
-        terms, scales[:, 0].tolist(), window.argmax(axis=1).tolist(), window.any(axis=1).tolist()
-    ):
-        if found:
-            total, comp = _compensated_add(scale, 0.0, float(row[: first + 3].sum()))
-            sums.append(total + comp)
-        else:
-            sums.append(None)
-    return sums
-
-
-def _series(a, c, w, scale, max_terms):
-    """Sum ``scale * 2F1(a, 1; c; w)`` by blocked term recurrence.
-
-    Requires ``0 <= w < 1``.  Terms follow
-    ``t_{n+1} = t_n * (a+n)(1+n) / ((c+n)(n+1)) * w`` starting from
-    ``t_0 = scale``; blocks are accumulated with Neumaier compensation.
-    Stops once _CONSECUTIVE_SMALL consecutive terms fall below
-    ``_STOP_REL`` times the running partial sum.  This is the reference loop
-    whose bits the batched first blocks of :func:`_coeff_range` reproduce.
-    """
-    if scale == 0.0 or w == 0.0:
-        return scale
-    total = scale
-    comp = 0.0
-    term = scale
-    n = 0
-    run = 0
-    while n < max_terms:
-        m = min(_BLOCK, max_terms - n)
-        terms, small = _block(a, c, w, n, m, term, total)
-
-        stop = -1
-        if run >= _CONSECUTIVE_SMALL - 1 and m >= 1 and small[0]:
-            stop = 0
-        elif run >= _CONSECUTIVE_SMALL - 2 and m >= 2 and small[0] and small[1]:
-            stop = 1
-        if stop < 0 and m >= _CONSECUTIVE_SMALL:
-            window = small[2:] & small[1:-1] & small[:-2]
-            hits = np.flatnonzero(window)
-            if hits.size:
-                stop = int(hits[0]) + 2
-
-        upto = m if stop < 0 else stop + 1
-        total, comp = _compensated_add(total, comp, float(terms[:upto].sum()))
-        if stop >= 0:
-            return total + comp
-        term = float(terms[-1])
-        if bool(small.all()):
-            run += m
-        elif small[-1]:
-            run = m - 1 - int(np.flatnonzero(~small)[-1])
-        else:
-            run = 0
-        n += m
-    raise HypergeometricError("series did not converge within budget", a, 1.0, c, w)
+    sums = np.empty(columns.shape[1])
+    rows = np.arange(len(sums))
+    n, width = 0, m
+    while True:
+        x, a, c, scale = columns
+        if n == 0:
+            total = term = scale[:, 0]
+            comp = 0.0
+            carry = np.zeros((len(rows), 2), dtype=bool)
+        terms, small = _block(a, c, x, n, width, term[:, None], total[:, None])
+        flags = np.concatenate((carry, small), axis=1)
+        window = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
+        stopped = window.any(axis=1)
+        ends = np.where(stopped, window.argmax(axis=1) + 1, width).tolist()
+        part = np.array([np.add.reduce(row[:end]) for row, end in zip(terms, ends)])
+        t = total + part
+        comp = comp + ((np.maximum(total, part) - t) + np.minimum(total, part))
+        total = t
+        sums[rows[stopped]] = (total + comp)[stopped]
+        going = ~stopped
+        if not going.any():
+            return sums
+        rows, columns = rows[going], columns[:, going]
+        if n == 0 and width < _BLOCK:
+            width = _BLOCK  # sum the rest again from term 0
+            continue
+        total, comp, term, carry = total[going], comp[going], terms[going, -1], flags[going, -2:]
+        n += width
+        if n >= MAX_TERMS:
+            x, a, c, _ = columns[:, 0, 0]
+            raise HypergeometricError("series did not converge within budget", a, 1.0, c, x)
+        width = min(_BLOCK, MAX_TERMS - n)
 
 
 def _row(i: int, t: float, delta: float, w: float):
     """The series behind ``k_i`` at threshold ``t`` and ``w = t/(1+t)``.
 
-    Returns ``(x, budget, a, c, scale, connected)``: ``k_i`` is the sum
-    ``_series(a, c, x, scale, budget)``, passed through :func:`_connect`
-    when ``connected``.
+    Returns ``(x, a, c, scale, connected)``: ``k_i`` is the sum
+    ``scale * 2F1(a, 1; c; x)`` (see :func:`_sums`), passed through
+    :func:`_connect` when ``connected``.
     """
     if i == 0:
         # k0 = delta*T/(1-delta) * 2F1(1, 1-delta; 2-delta; -T); after the
         # Pfaff map this is (delta/(1-delta)) * w * 2F1(1, 1; 2-delta; w).
         if w <= NEAR_UNIT_W:
-            return w, MAX_TERMS, 1.0, 2.0 - delta, delta / (1.0 - delta) * w, False
-        return 1.0 - w, MAX_TERMS, 1.0, 1.0 + delta, 1.0, True
+            return w, 1.0, 2.0 - delta, delta / (1.0 - delta) * w, False
+        return 1.0 - w, 1.0, 1.0 + delta, 1.0, True
     # k_i = delta*T^i/(i-delta) * 2F1(i+1, i-delta; i+1-delta; -T); folding the
     # overflow-prone T^i prefactor through the Pfaff map gives
     # (delta/(i-delta)) * w^i/(1+T) * 2F1(i+1, 1; i+1-delta; w).
@@ -223,10 +188,9 @@ def _row(i: int, t: float, delta: float, w: float):
         # The connection formula cancels catastrophically once i*(1-w) >> 1
         # (k_i ~ exp(-i(1-w)) while both its terms stay O(1)); the direct
         # series needs only ~37/(1-w) <~ 37*i terms there, so prefer it.
-        budget = MAX_TERMS if w <= NEAR_UNIT_W else MAX_TERMS_NEAR_UNIT
         scale = delta / (i - delta) * w**i / (1.0 + t)
-        return w, budget, i + 1.0, i + 1.0 - delta, scale, False
-    return 1.0 - w, MAX_TERMS, i + 1.0, 2.0 + delta, 1.0, True
+        return w, i + 1.0, i + 1.0 - delta, scale, False
+    return 1.0 - w, i + 1.0, 2.0 + delta, 1.0, True
 
 
 def _connect(i: int, t: float, delta: float, w: float, f1: float) -> float:
@@ -243,15 +207,13 @@ def _connect(i: int, t: float, delta: float, w: float, f1: float) -> float:
 def _coeff_range(jobs, alpha: float) -> list[list[float]]:
     """k_start .. k_{stop-1} for each ``(threshold, start, stop)`` job at ``alpha``.
 
-    Rows with a sized first block are grouped by budget and sorted by block
-    length; consecutive rows are summed as one batch of first blocks, padded
-    to the longest, in chunks of at most ``_BATCH_CELLS`` elements.  A chunk
-    closes early when padding it to the next row would add more than
-    ``_PAD_CELLS`` cells.  A row outrunning its block, or one with no sized
-    block, is summed by :func:`_series`, with the same bits.  Each sum is
-    then finished per row.
+    The rows are sorted by first-block length; consecutive rows are summed
+    by :func:`_sums` as one batch, padded to the longest, in chunks of at
+    most ``_BATCH_CELLS`` first-block elements.  A chunk closes early when
+    padding it to the next row would add more than ``_PAD_CELLS`` cells.
+    Each sum is then finished per row.
 
-    The rows are kept as one flat list of the six :func:`_row` fields, not
+    The rows are kept as one flat list of the five :func:`_row` fields, not
     as an object per row: a batch holds thousands of rows, and as many live
     objects would set off the garbage collector several times per batch.
     """
@@ -261,47 +223,31 @@ def _coeff_range(jobs, alpha: float) -> list[list[float]]:
         w = threshold / (1.0 + threshold)
         for i in range(start, stop):
             fields.extend(_row(i, threshold, delta, w))
-    xs, budgets, a_s, cs, scales = (fields[k::6] for k in range(5))
-    sums = [None] * len(xs)
-    heads = [_head_terms(x, budget) for x, budget in zip(xs, budgets)]
-    groups = {}
-    for n, (m, budget) in enumerate(zip(heads, budgets)):
-        if m < min(_BLOCK, budget):
-            groups.setdefault(budget, []).append(n)
-    if groups:
-        columns = np.array([xs, a_s, cs, scales])[:, :, None]
-    for members in groups.values():
-        members.sort(key=heads.__getitem__)
-        chunks, chunk, width = [], [], 0
-        for n in members:
-            m = heads[n]
-            if chunk and ((len(chunk) + 1) * m > _BATCH_CELLS or len(chunk) * (m - width) > _PAD_CELLS):
-                chunks.append((width, chunk))
-                chunk = []
-            chunk.append(n)
-            width = m
-        chunks.append((width, chunk))
-        for m, chunk in chunks:
-            x, a, c, scale = columns[:, chunk]
-            for n, total in zip(chunk, _head_sums(a, c, x, scale, m)):
-                sums[n] = total
-    for n, total in enumerate(sums):
-        if total is None:
-            sums[n] = _series(a_s[n], cs[n], xs[n], scales[n], budgets[n])
+    xs, a_s, cs, scales, connected = (fields[k::5] for k in range(5))
+    heads = [_head_terms(x) for x in xs]
+    chunks, chunk, width = [], [], 0
+    for n in sorted(range(len(xs)), key=heads.__getitem__):
+        m = heads[n]
+        if chunk and ((len(chunk) + 1) * m > _BATCH_CELLS or len(chunk) * (m - width) > _PAD_CELLS):
+            chunks.append((width, chunk))
+            chunk = []
+        chunk.append(n)
+        width = m
+    chunks.append((width, chunk))
+    columns = np.array([xs, a_s, cs, scales])[:, :, None]
+    sums = np.empty(len(xs))
+    for m, chunk in chunks:
+        sums[chunk] = _sums(columns[:, chunk], m)
+    sums = sums.tolist()
     values, n = [], 0
     for threshold, start, stop in jobs:
         w = threshold / (1.0 + threshold)
         job = []
         for i in range(start, stop):
-            job.append(_connect(i, threshold, delta, w, sums[n]) if fields[6 * n + 5] else sums[n])
+            job.append(_connect(i, threshold, delta, w, sums[n]) if connected[n] else sums[n])
             n += 1
         values.append(job)
     return values
-
-
-def _check_domain(threshold: float, alpha: float) -> None:
-    _check_threshold(threshold)
-    _check_alpha(alpha)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -327,7 +273,8 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     """
     if i < 0 or int(i) != i:
         raise ValueError(f"coefficient order must be a non-negative integer, got {i}")
-    _check_domain(threshold, alpha)
+    _check_threshold(threshold)
+    _check_alpha(alpha)
     return _coeff_range([(float(threshold), int(i), int(i) + 1)], float(alpha))[0][0]
 
 
@@ -343,10 +290,6 @@ class _TableCache:
         self._tables: dict[tuple[float, float], tuple[float, ...]] = {}
         self._held = 0
         self._lock = threading.Lock()
-
-    def get(self, key) -> tuple[float, ...] | None:
-        """The table of one key, or None; see :meth:`get_many`."""
-        return self.get_many((key,))[0]
 
     def get_many(self, keys) -> list:
         """The table of each key, or None; each found key becomes the most recent."""

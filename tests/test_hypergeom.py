@@ -1,5 +1,6 @@
 """Hypergeometric engine tests against independent high-precision oracles."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -12,7 +13,6 @@ from scipy.integrate import quad
 from trs_planner import hypergeom
 from trs_planner.hypergeom import (
     HypergeometricError,
-    _series,
     coeff_k,
     coefficient_table,
 )
@@ -76,9 +76,18 @@ def integral_k(i, threshold, alpha):
     return v1 + v2
 
 
-def test_budget_exhaustion_raises():
+def beta_k(i, threshold, alpha):
+    """k_i = delta * T^delta * B_w(i - delta, 1 + delta) by mpmath's incomplete beta."""
+    d = mp.mpf(2) / mp.mpf(alpha)
+    t = mp.mpf(threshold)
+    return d * t**d * mp.betainc(i - d, 1 + d, 0, t / (1 + t))
+
+
+def test_budget_exhaustion_raises(monkeypatch):
+    # k_402 at T = 400 needs about 14,800 terms, more than two full blocks
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 2 * hypergeom._BLOCK)
     with pytest.raises(HypergeometricError):
-        _series(1.0, 1.5, 0.9, 1.0, max_terms=5)
+        coeff_k(402, 400.0, 4.0)
 
 
 class TestCoeffK:
@@ -105,6 +114,18 @@ class TestCoeffK:
             mine = coeff_k(i, t, alpha)
             ref = float(oracle_k(i, t, alpha))
             assert mine == pytest.approx(ref, rel=1e-9), (i, t, alpha)
+
+    @pytest.mark.parametrize("i, threshold, alpha", [
+        (102, 100.5, 2.05), (130, 101.3, 8.0), (150, 120.0, 3.0), (300, 250.0, 4.0), (402, 400.0, 4.0),
+        (500, 101.5, 8.0), (600, 450.0, 2.05), (800, 700.0, 3.0), (1023, 1000.0, 4.0), (1023, 1021.5, 3.0),
+    ])
+    def test_near_unit_direct_rows_match_incomplete_beta(self, i, threshold, alpha):
+        # i > 1 + T past w = 0.99: the direct series of about 37 * (1 + T)
+        # terms, one full block at T ~ 100 and up to eight at T ~ 1000
+        w = threshold / (1.0 + threshold)
+        assert not hypergeom._row(i, threshold, 2.0 / alpha, w)[-1]
+        ref = beta_k(i, threshold, alpha)
+        assert float(abs(coeff_k(i, threshold, alpha) - ref) / ref) <= 1e-12
 
     def test_integral_representation_agreement(self):
         # covers the large-threshold connection path the series oracle cannot reach
@@ -198,8 +219,9 @@ FROZEN_TABLES = {
 }
 
 
-# w = 400/401: k_401.. are near-unit direct rows (i * (1 - w) > 1) of about
-# 14,800 terms, four full blocks with the stop window carried across edges
+# w = 400/401: k_402.. are near-unit direct rows (i * (1 - w) > 1) of about
+# 14,800 terms, four full blocks with the stop window carried across edges;
+# k_401 sits at i * (1 - w) = 1 and takes the connection formula
 BLOCK_CARRY = (410, 400.0, 4.0), {
     401: "0x1.4b5ea79645fb3p-11", 402: "0x1.49892a09ef432p-11",
     405: "0x1.441c554b27850p-11", 409: "0x1.3d0d4e7c4ee08p-11",
@@ -213,17 +235,29 @@ def fresh_tables(monkeypatch):
     monkeypatch.setattr(hypergeom, "_tables", cache)
 
 
+# sha256 of the space-joined float.hex of coefficient_table(1024, PIN_THRESHOLDS,
+# alpha) for alpha in PIN_ALPHAS, recorded from the scalar reference loop that
+# hypergeom._sums replaced; never re-recorded.  Rows at T = 98.9 and 99.1 get a
+# sized first block of about 4,000 terms; at T = 101.3 the _BLOCK cap cuts
+# theirs from 4,108 terms to a full block.  All are batched next to the
+# eight-block rows of T = 1000.
+PIN_THRESHOLDS = [98.9, 99.1, 101.3, 101.5, 400.0, 1000.0]
+PIN_ALPHAS = (2.05, 4.0, 8.0)
+PIN_DIGEST = "c1fd22fb33b030f9c8f95f29e6727b6101a1f5e8191ae7a49c393a994bf804a2"
+
+
 @pytest.fixture
 def series_calls(monkeypatch):
-    """The ``a`` argument of every :func:`_series` call, in call order."""
+    """The ``a`` of every row summed from term 0 in full blocks, in call order."""
     calls = []
-    series = hypergeom._series
+    block = hypergeom._block
 
-    def counted(a, *args):
-        calls.append(a)
-        return series(a, *args)
+    def counted(a, c, w, n, m, *args):
+        if n == 0 and m == hypergeom._BLOCK:
+            calls.extend(a[:, 0].tolist())
+        return block(a, c, w, n, m, *args)
 
-    monkeypatch.setattr(hypergeom, "_series", counted)
+    monkeypatch.setattr(hypergeom, "_block", counted)
     return calls
 
 
@@ -252,17 +286,22 @@ class TestFrozenBits:
             assert values[i].hex() == expected, i
             assert coeff_k(i, *key).hex() == expected, i
 
-    def test_series_outrunning_sized_block_keeps_bits(self):
-        # needs 583 terms, more than one sized block (416 terms at w = 0.9);
-        # the bits are those of the series with b = 1 before b was dropped
-        total = _series(20.0, 9.0, 0.9, 1.0, hypergeom.MAX_TERMS)
-        assert total.hex() == "0x1.d4fce48a45de9p+24"
+    def test_series_outrunning_sized_block_keeps_bits(self, series_calls):
+        # needs 583 terms, more than its sized block (416 terms at x = 0.9),
+        # so that row is summed again from term 0 in a full block; the bits
+        # are those of the series with b = 1 before b was dropped
+        assert hypergeom._head_terms(0.9) == 416
+        columns = np.array([[0.9], [20.0], [9.0], [1.0]])[:, :, None]
+        for m in (416, hypergeom._BLOCK):
+            (total,) = hypergeom._sums(columns, m)
+            assert total.hex() == "0x1.d4fce48a45de9p+24", m
+        assert series_calls == [20.0, 20.0]
 
     @pytest.mark.parametrize("key", [(2.0, 3.5), (50.0, 2.2)])
     def test_rows_outrunning_batched_block_keep_bits(self, fresh_tables, series_calls, monkeypatch, key):
         # a 24-term block is too short for every row, so each one is summed
-        # again by _series in full blocks; row i has a = i + 1 at w <= 0.99
-        monkeypatch.setattr(hypergeom, "_head_terms", lambda w, max_terms: min(24, max_terms))
+        # again from term 0 in full blocks; row i has a = i + 1 at w <= 0.99
+        monkeypatch.setattr(hypergeom, "_head_terms", lambda x: 24)
         size, bits = FROZEN_TABLES[key]
         values = coefficient_table(size, *key)
         assert series_calls == [i + 1.0 for i in range(size)]
@@ -295,12 +334,40 @@ class TestFrozenBits:
         cache = hypergeom._TableCache(10)
         cache.put(1.0, (1.0,) * 6)
         cache.put(2.0, (1.0,) * 4)
-        assert len(cache.get(1.0)) == 6  # now the most recent
+        assert len(cache.get_many([1.0])[0]) == 6  # now the most recent
         cache.put(3.0, (1.0,) * 3)
-        assert cache.get(2.0) is None
-        assert cache.get(1.0) and cache.get(3.0)
+        assert cache.get_many([2.0]) == [None]
+        assert all(cache.get_many([1.0, 3.0]))
         cache.put(4.0, (1.0,) * 12)  # alone above the bound, still kept
-        assert cache.get(4.0) and cache.get(1.0) is None and cache.get(3.0) is None
+        assert cache.get_many([4.0, 1.0, 3.0]) == [(1.0,) * 12, None, None]
+
+    def test_capped_and_ten_block_rows_keep_digest(self, fresh_tables):
+        tables = [table for alpha in PIN_ALPHAS for table in coefficient_table(1024, PIN_THRESHOLDS, alpha)]
+        text = " ".join(v.hex() for table in tables for v in table)
+        assert hashlib.sha256(text.encode()).hexdigest() == PIN_DIGEST
+
+    def test_stop_window_straddles_block_edges(self, monkeypatch):
+        # unit terms, with each row's small-term flags at fixed term positions
+        # (row r has a = r): the window's third term is its stop, so a row's
+        # sum is the count of terms up to it
+        edge = hypergeom._BLOCK
+        small_at = [
+            {edge - 2, edge - 1, edge},  # stops at offset 0 of the second block
+            {edge - 1, edge, edge + 1},  # stops at offset 1
+            {edge - 1, edge, edge + 2, 2 * edge + 3, 2 * edge + 4, 2 * edge + 5},  # no window at the edge
+            {2 * edge - 1, 2 * edge, 2 * edge + 1},  # offset 1 of the third block
+        ]
+
+        def unit_block(a, c, w, n, m, term, total):
+            positions = np.arange(n, n + m)
+            small = np.array([np.isin(positions, list(small_at[int(r)])) for r in a[:, 0]])
+            return np.ones(small.shape), small
+
+        monkeypatch.setattr(hypergeom, "_block", unit_block)
+        columns = np.zeros((4, len(small_at), 1))
+        columns[1, :, 0] = range(len(small_at))
+        sums = hypergeom._sums(columns, edge)
+        assert sums.tolist() == [edge + 1, edge + 2, 2 * edge + 6, 2 * edge + 2]
 
     @pytest.mark.parametrize("threshold, alpha", [
         (math.nan, 4.0), (math.inf, 4.0), (1.0, math.nan), (1.0, math.inf),
