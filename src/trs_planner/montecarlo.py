@@ -27,7 +27,10 @@ count, or another threshold on the same config, then only draws the desired
 gains, from a generator restored to that state: each ``sinr_samples`` call
 makes one Philox and restores every drop's state into it in turn.  The
 restored generator continues the very stream a cold run would draw from, so
-the bits are the same either way.
+the bits are the same either way.  ``simulate_active_probability`` reads each
+drop's occupied fraction of interior stations from the same memo, so after an
+``activity_gap_report`` on its config it computes nothing; a cold call also
+draws the fading.
 """
 
 from __future__ import annotations
@@ -74,13 +77,15 @@ class McConfig:
             raise ConfigError(f"window_radius must be finite, got {self.window_radius}")
         if self.window_radius <= 0.0:
             raise ConfigError(f"window_radius must be positive, got {self.window_radius}")
-        # a drop-level standard error needs two drops
-        if self.n_drops < 2 or int(self.n_drops) != self.n_drops:
+        # a drop-level standard error needs two drops; `% 1` is nan, so truthy, for nan and inf
+        if not self.n_drops >= 2 or self.n_drops % 1:
             raise ConfigError(f"n_drops must be an integer >= 2, got {self.n_drops}")
-        if self.n_fading_per_drop < 1 or int(self.n_fading_per_drop) != self.n_fading_per_drop:
+        if not self.n_fading_per_drop >= 1 or self.n_fading_per_drop % 1:
             raise ConfigError(f"n_fading_per_drop must be >= 1, got {self.n_fading_per_drop}")
-        if self.seed < 0 or int(self.seed) != self.seed:
+        if not self.seed >= 0 or self.seed % 1:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("n_drops", "n_fading_per_drop", "seed"):  # numpy sizes and ranges need ints
+            object.__setattr__(self, name, int(getattr(self, name)))
         expected_bs = self.expected_stations
         if not math.isfinite(expected_bs):
             raise ConfigError(
@@ -140,6 +145,11 @@ def resolve_workers() -> int:
     if workers < 0:
         raise ConfigError(f"{THREADS_ENV_VAR} must be >= 0, got {workers}")
     return workers or min(os.cpu_count() or 1, 8)
+
+
+def _guard_band(net: NetworkConfig) -> float:
+    """One mean cell radius: stations this close to the window edge have cells spilling out."""
+    return 1.0 / math.sqrt(math.pi * net.lambda_b)
 
 
 def _drop_streams(seed: int, drop: int):
@@ -206,14 +216,17 @@ def _drop_interference(cfg: McConfig, drop: int):
     """The part of a drop every antenna count shares, or None for an empty window.
 
     Returns the serving distance, the interference per fading sample and its
-    mean, the active interferer count and the fade stream's state after the
-    interference draw, from which ``_drop_sinr`` draws the desired gain.
+    mean, the active interferer count, the fade stream's state after the
+    interference draw (``_drop_sinr`` draws the desired gain from it) and the
+    occupied fraction of interior stations (NaN under thinning or with none).
     """
     net = cfg.network
     geom, act, fade = _drop_streams(cfg.seed, drop)
     r, occupied = _stations(cfg, geom, act)
     if r.size == 0:
         return None
+    interior = r <= cfg.window_radius - _guard_band(net)
+    fraction = math.nan if occupied is None or not interior.any() else float(occupied[interior].mean())
 
     serving = int(np.argmin(r))
     others = np.delete(np.arange(r.size), serving)
@@ -233,7 +246,7 @@ def _drop_interference(cfg: McConfig, drop: int):
     interference.flags.writeable = False  # the memo hands it to every run it serves
     return (
         r[serving], interference, float(interference.mean()), int(active_mask.sum()),
-        fade.bit_generator.state,
+        fade.bit_generator.state, fraction,
     )
 
 
@@ -248,9 +261,9 @@ def _drop_sinr(cfg: McConfig, shared, fade: np.random.Generator):
         nan = np.full(n_fad, np.nan)
         return nan, nan, math.nan, 0
     net = cfg.network
-    r_serving, interference, mean_interference, n_active, fade_state = shared
+    r_serving, interference, mean_interference, n_active, fade_state, _ = shared
     fade.bit_generator.state = fade_state
-    gain = fade.exponential(1.0, size=(net.antennas, n_fad)).sum(axis=0)
+    gain = fade.exponential(1.0, size=(int(net.antennas), n_fad)).sum(axis=0)
     signal = net.tx_power * gain * r_serving ** (-net.alpha)
     denom = interference + net.noise_power
     with np.errstate(divide="ignore"):
@@ -368,38 +381,22 @@ def simulate_spectral_efficiency(cfg: McConfig) -> McEstimate:
     return spectral_efficiency_from_samples(sinr_samples(cfg), cfg)
 
 
-def simulate_desired_gain(cfg: McConfig) -> McEstimate:
-    """Mean MRT desired-signal gain; should sit at the antenna count."""
-    samples = sinr_samples(cfg)
-    drop_means = samples.desired_gain.mean(axis=1)
-    return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
-
-
 def simulate_active_probability(cfg: McConfig) -> McEstimate:
     """Fraction of interior stations whose Voronoi cell holds >= 1 user.
 
     Stations within one mean cell radius of the window edge are excluded:
-    their cells spill outside the window where no users were drawn.
+    their cells spill outside the window where no users were drawn.  The
+    fractions come from the shared drops, so a cold call also draws their fading.
     """
     if cfg.activity_model is not ActivityModel.VORONOI_OCCUPANCY:
         raise ConfigError("activity estimation requires the voronoi-occupancy model")
-    net = cfg.network
-    guard = 1.0 / math.sqrt(math.pi * net.lambda_b)
+    guard = _guard_band(cfg.network)
     if cfg.window_radius <= guard:
         raise ConfigError(
             f"window radius {cfg.window_radius} leaves no interior once the "
             f"one-cell-radius guard band ({guard:.3g}) is removed"
         )
-
-    def one_drop(drop):
-        geom, act, _ = _drop_streams(cfg.seed, drop)
-        r, occupied = _stations(cfg, geom, act)
-        interior = r <= cfg.window_radius - guard
-        # each drop owns its streams, so users drawn for a drop without an
-        # interior station leave every other drop's draws unchanged
-        return float(occupied[interior].mean()) if interior.any() else math.nan
-
-    values = np.array(_map_drops(one_drop, cfg.n_drops))
+    values = np.array([math.nan if d is None else d[-1] for d in _shared_drops(_SharedKey.of(cfg))])
     annotations = []
     if np.isnan(values).any():
         kept = values[~np.isnan(values)]

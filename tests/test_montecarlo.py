@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from trs_planner.montecarlo import (
     recommended_window,
     resolve_workers,
     simulate_active_probability,
-    simulate_desired_gain,
     simulate_outage,
     simulate_spectral_efficiency,
     sinr_samples,
@@ -154,8 +154,9 @@ class TestFadingModel:
     def test_desired_gain_mean_is_antenna_count(self):
         for m in (1, 4):
             cfg = make_cfg(lambda_b=100.0, antennas=m, n_drops=150, n_fading=60, seed=23)
-            est = simulate_desired_gain(cfg)
-            assert abs(est.mean - m) <= 3.0 * est.std_error
+            drop_means = sinr_samples(cfg).desired_gain.mean(axis=1)
+            std_error = drop_means.std(ddof=1) / math.sqrt(drop_means.size)
+            assert abs(drop_means.mean() - m) <= 3.0 * std_error
 
     def test_more_antennas_help_samplewise(self):
         # identical interference stream and coupled desired gains
@@ -249,6 +250,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="n_drops must be an integer >= 2, got 1"):
             McConfig(network=net, window_radius=recommended_window(10.0), n_drops=1,
                      n_fading_per_drop=10, seed=0)
+
+    def test_whole_number_float_counts(self, monkeypatch):
+        # the analytic path takes antennas=2.0, so the simulator must too, with the int bits
+        monkeypatch.setenv("TRS_PLANNER_THREADS", "1")
+
+        def digest(num):
+            net = NetworkConfig(lambda_b=10.0, lambda_u=30.0, antennas=num(2), alpha=4.0)
+            cfg = McConfig(network=net, window_radius=recommended_window(10.0), n_drops=num(4),
+                           n_fading_per_drop=num(3), seed=num(5))
+            assert all(type(n) is int for n in (cfg.n_drops, cfg.n_fading_per_drop, cfg.seed))
+            montecarlo._shared_drops.cache_clear()
+            return _digest(sinr_samples(cfg))
+
+        assert digest(float) == digest(int)
 
     def test_noise_accepted_here(self):
         net = NetworkConfig(lambda_b=10.0, lambda_u=100.0, noise_power=0.01)
@@ -344,6 +359,14 @@ class TestNonFiniteConfig:
         # independent thinning draws no users, so the same numbers stand
         McConfig(network=net, window_radius=window, n_drops=2, n_fading_per_drop=1, seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["n_drops", "n_fading_per_drop", "seed"])
+    def test_counts(self, name, value):
+        net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
+        counts = dict(n_drops=2, n_fading_per_drop=1, seed=0) | {name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            McConfig(network=net, window_radius=5.0, **counts)
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_threshold(self, threshold):
         cfg = make_cfg(n_drops=2, n_fading=2)
@@ -419,6 +442,31 @@ class TestSharedDrops:
             montecarlo._shared_drops.cache_clear()
             cold[t] = _gap_bits(activity_gap_report(cfg, t))
         assert shared == cold == COLD_GAPS
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "kw, annotations",
+        [({}, ()), (dict(n_drops=24, seed=7, window_factor=1.5), ("3 empty drops skipped",))],
+        ids=["frozen", "empty-drops"],
+    )
+    def test_active_probability_reuses_gap_drops(self, monkeypatch, threads, kw, annotations):
+        # the TestFrozenBits configs; the gap report computes the Voronoi twin's drops
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
+        cfg = make_cfg(**(dict(lambda_u=30.0, antennas=2, n_drops=16, n_fading=8, seed=2024) | kw))
+        voronoi = replace(cfg, activity_model=ActivityModel.VORONOI_OCCUPANCY)
+
+        def bits(est):
+            return est.mean.hex(), est.std_error.hex(), est.n_drops, est.annotations
+
+        montecarlo._shared_drops.cache_clear()
+        activity_gap_report(cfg, 1.0)
+        before = montecarlo._shared_drops.cache_info()
+        shared = bits(simulate_active_probability(voronoi))
+        after = montecarlo._shared_drops.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        montecarlo._shared_drops.cache_clear()
+        assert shared == bits(simulate_active_probability(voronoi))
+        assert shared[3] == annotations
 
     def test_other_worker_count_recomputes(self, monkeypatch):
         calls = []
