@@ -24,11 +24,7 @@ def main():
     args = parser.parse_args()
     rho_values = _parse_grid(args.rho_values)
 
-    print(
-        f"{'rho':>6s} {'analytic':>9s} {'thinning':>9s} {'voronoi':>9s} "
-        f"{'gap':>9s} {'3se(gap)':>9s}"
-    )
-    for rho in rho_values:
+    for i, rho in enumerate(rho_values):
         lam_b = rho * args.lambda_u
         net = NetworkConfig(lambda_b=lam_b, lambda_u=args.lambda_u, antennas=1)
         cfg = McConfig(
@@ -42,6 +38,11 @@ def main():
         analytic = outage_probability(
             args.threshold, active_probability(rho), 1, net.alpha
         ).p_out
+        if i == 0:  # after the first row's checks, so bad input prints no table
+            print(
+                f"{'rho':>6s} {'analytic':>9s} {'thinning':>9s} {'voronoi':>9s} "
+                f"{'gap':>9s} {'3se(gap)':>9s}"
+            )
         print(
             f"{rho:6.2f} {analytic:9.5f} {rep.thinning.mean:9.5f} "
             f"{rep.voronoi.mean:9.5f} {rep.gap.mean:+9.5f} {3 * rep.gap.std_error:9.5f}"

@@ -23,14 +23,13 @@ the antenna count, and they cost nearly all of its time.  ``sinr_samples``
 keeps that part of the last two runs, keyed by the config with its antenna
 count normalised to 1 and by the worker-thread count, together with the fade
 stream's Philox state right after the interference draw.  Another antenna
-count, or another threshold on the same config, then only draws the desired
-gains, from a generator restored to that state: each ``sinr_samples`` call
-makes one Philox and restores every drop's state into it in turn.  The
-restored generator continues the very stream a cold run would draw from, so
-the bits are the same either way.  ``simulate_active_probability`` reads each
-drop's occupied fraction of interior stations from the same memo, so after an
-``activity_gap_report`` on its config it computes nothing; a cold call also
-draws the fading.
+count, or another threshold, then restores each drop's state into the call's
+one Philox, draws its desired gains (the very stream a cold run would draw)
+and forms the SINR of all drops as one batch, with the same bits.  A Voronoi
+drop also carries its thinning twin (same streams, one more matrix-vector
+product), so ``activity_gap_report`` reads both models from one entry, and
+``simulate_active_probability`` reads its occupied fractions from that entry
+too; a cold call of the latter also draws the fading and the twin.
 """
 
 from __future__ import annotations
@@ -212,26 +211,30 @@ def _stations(cfg: McConfig, geom, act):
     return r, occupied
 
 
-def _drop_interference(cfg: McConfig, drop: int):
-    """The part of a drop every antenna count shares, or None for an empty window.
+def _drop_interference(cfg: McConfig, drop: int) -> dict:
+    """The part of a drop every antenna count shares, keyed by activity model.
 
-    Returns the serving distance, the interference per fading sample and its
-    mean, the active interferer count, the fade stream's state after the
-    interference draw (``_drop_sinr`` draws the desired gain from it) and the
-    occupied fraction of interior stations (NaN under thinning or with none).
+    Each value holds the serving distance, the interference per fading sample
+    and its mean, the active interferer count, the fade stream's state after
+    the interference draw and the occupied fraction of interior stations (NaN
+    under thinning or with none), or is None for an empty window.  A Voronoi
+    drop also carries its thinning twin: the drop a thinning config computes,
+    whose activity comes from a fresh activity stream.
     """
     net = cfg.network
+    thinning = ActivityModel.INDEPENDENT_THINNING
     geom, act, fade = _drop_streams(cfg.seed, drop)
     r, occupied = _stations(cfg, geom, act)
     if r.size == 0:
-        return None
+        return dict.fromkeys((cfg.activity_model, thinning))
     interior = r <= cfg.window_radius - _guard_band(net)
     fraction = math.nan if occupied is None or not interior.any() else float(occupied[interior].mean())
 
     serving = int(np.argmin(r))
     others = np.delete(np.arange(r.size), serving)
+    p_a = active_probability(net.rho)
     if occupied is None:
-        active_mask = act.random(others.size) < active_probability(net.rho)
+        active_mask = act.random(others.size) < p_a
     else:
         active_mask = occupied[others]
 
@@ -242,33 +245,18 @@ def _drop_interference(cfg: McConfig, drop: int):
     n_fad = cfg.n_fading_per_drop
     weights = net.tx_power * r[others] ** (-net.alpha) * active_mask
     h = fade.exponential(1.0, size=(n_fad, others.size)) if others.size else np.zeros((n_fad, 0))
-    interference = h @ weights if others.size else np.zeros(n_fad)
-    interference.flags.writeable = False  # the memo hands it to every run it serves
-    return (
-        r[serving], interference, float(interference.mean()), int(active_mask.sum()),
-        fade.bit_generator.state, fraction,
-    )
+    state = fade.bit_generator.state
 
+    def summary(weights, mask, fraction):
+        interference = h @ weights if others.size else np.zeros(n_fad)
+        interference.flags.writeable = False  # the memo hands it to every run it serves
+        return r[serving], interference, float(interference.mean()), int(mask.sum()), state, fraction
 
-def _drop_sinr(cfg: McConfig, shared, fade: np.random.Generator):
-    """One drop's SINR, gain, mean interference and active count at ``cfg``'s antenna count.
-
-    ``fade`` is the caller's generator; the drop's saved fade state is
-    restored into its Philox before the desired gain is drawn.
-    """
-    n_fad = cfg.n_fading_per_drop
-    if shared is None:
-        nan = np.full(n_fad, np.nan)
-        return nan, nan, math.nan, 0
-    net = cfg.network
-    r_serving, interference, mean_interference, n_active, fade_state, _ = shared
-    fade.bit_generator.state = fade_state
-    gain = fade.exponential(1.0, size=(int(net.antennas), n_fad)).sum(axis=0)
-    signal = net.tx_power * gain * r_serving ** (-net.alpha)
-    denom = interference + net.noise_power
-    with np.errstate(divide="ignore"):
-        sinr = np.where(denom > 0.0, signal / np.where(denom > 0.0, denom, 1.0), np.inf)
-    return sinr, gain, mean_interference, n_active
+    drops = {cfg.activity_model: summary(weights, active_mask, fraction)}
+    if occupied is not None:
+        twin_mask = _drop_streams(cfg.seed, drop)[1].random(others.size) < p_a
+        drops[thinning] = summary(net.tx_power * r[others] ** (-net.alpha) * twin_mask, twin_mask, math.nan)
+    return drops
 
 
 @dataclass(frozen=True)
@@ -302,16 +290,34 @@ def _shared_drops(key: _SharedKey) -> list:
 
 def sinr_samples(cfg: McConfig) -> SinrSamples:
     """SINR realizations for every (drop, fading) pair, deterministically."""
+    return _samples(cfg, _shared_drops(_SharedKey.of(cfg)))
+
+
+def _samples(cfg: McConfig, drops: list) -> SinrSamples:
+    """``sinr_samples`` from a memo entry, read under ``cfg``'s activity model."""
+    net = cfg.network
+    n_fad = cfg.n_fading_per_drop
     # one generator per call, never per module: concurrent callers restore their own states
     fade = np.random.Generator(np.random.Philox(0))
-    results = [_drop_sinr(cfg, shared, fade) for shared in _shared_drops(_SharedKey.of(cfg))]
-    sinr = np.stack([res[0] for res in results])
-    gain = np.stack([res[1] for res in results])
-    mean_i = np.array([res[2] for res in results])
-    n_active = np.array([res[3] for res in results])
+    gain = np.full((len(drops), n_fad), np.nan)
+    interference = np.full_like(gain, np.nan)
+    path_gain = np.full(len(drops), np.nan)
+    mean_i = np.full(len(drops), np.nan)
+    n_active = np.zeros(len(drops), dtype=np.int64)
+    for d, shared in enumerate(drop[cfg.activity_model] for drop in drops):
+        if shared is None:
+            continue
+        r_serving, interference[d], mean_i[d], n_active[d], state, _ = shared
+        fade.bit_generator.state = state
+        gain[d] = fade.exponential(1.0, size=(int(net.antennas), n_fad)).sum(axis=0)
+        # a scalar power: numpy's array power differs from it in the last bit of some elements
+        path_gain[d] = r_serving ** (-net.alpha)
+    # denom is never negative, and NaN in an empty drop's row, which stays NaN
+    denom = interference + net.noise_power
+    silent = denom == 0.0
+    sinr = np.where(silent, np.inf, net.tx_power * gain * path_gain[:, None] / np.where(silent, 1.0, denom))
 
     annotations = []
-    net = cfg.network
     p_a = active_probability(net.rho)
     if net.alpha > 2.0:
         truncated = (
@@ -356,12 +362,16 @@ def _estimate_from_drop_values(values: np.ndarray, cfg: McConfig, annotations=()
     )
 
 
-def outage_from_samples(samples: SinrSamples, threshold: float, cfg: McConfig) -> McEstimate:
-    """Empirical P[SINR < threshold] from shared samples."""
+def _check_threshold(threshold: float) -> None:
     if not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold}")
     if threshold <= 0.0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
+
+
+def outage_from_samples(samples: SinrSamples, threshold: float, cfg: McConfig) -> McEstimate:
+    """Empirical P[SINR < threshold] from shared samples."""
+    _check_threshold(threshold)
     drop_means = (samples.sinr < threshold).mean(axis=1)
     return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
 
@@ -396,7 +406,8 @@ def simulate_active_probability(cfg: McConfig) -> McEstimate:
             f"window radius {cfg.window_radius} leaves no interior once the "
             f"one-cell-radius guard band ({guard:.3g}) is removed"
         )
-    values = np.array([math.nan if d is None else d[-1] for d in _shared_drops(_SharedKey.of(cfg))])
+    drops = [d[cfg.activity_model] for d in _shared_drops(_SharedKey.of(cfg))]
+    values = np.array([math.nan if d is None else d[-1] for d in drops])
     annotations = []
     if np.isnan(values).any():
         kept = values[~np.isnan(values)]
@@ -425,10 +436,12 @@ def activity_gap_report(cfg: McConfig, threshold: float) -> ActivityGapReport:
     activity substream is the only one consumed differently), so the paired
     per-drop differences isolate the activity correlation effect.
     """
+    _check_threshold(threshold)
     voronoi_cfg = replace(cfg, activity_model=ActivityModel.VORONOI_OCCUPANCY)
     thinning_cfg = replace(cfg, activity_model=ActivityModel.INDEPENDENT_THINNING)
-    s_vor = sinr_samples(voronoi_cfg)
-    s_thin = sinr_samples(thinning_cfg)
+    drops = _shared_drops(_SharedKey.of(voronoi_cfg))  # each drop carries its thinning twin
+    s_vor = _samples(voronoi_cfg, drops)
+    s_thin = _samples(thinning_cfg, drops)
     vor_drops = (s_vor.sinr < threshold).mean(axis=1)
     thin_drops = (s_thin.sinr < threshold).mean(axis=1)
     return ActivityGapReport(

@@ -336,6 +336,34 @@ class TestFrozenBits:
         if p_out is not None:
             assert outage_from_samples(samples, 1.0, cfg).mean.hex() == p_out
 
+    # recorded before the SINR of all drops was formed as one batch
+    @pytest.mark.parametrize(
+        "kw, noise_power, digest, non_finite",
+        [
+            ({}, 50.0, "70c9799b6a64a3a5821b2b9d3d2c231c5fe1ff48c2fddba8aeee75471c5794a8", False),
+            (dict(model=ActivityModel.INDEPENDENT_THINNING), 50.0,
+             "4ffefd99fdabcb9c1529deb67d9aeac45df0de2c46cd82f941f2b8dcfebe8c84", False),
+            # 5 single-station and 5 empty drops of 16: inf rows and NaN rows
+            (dict(window_factor=0.8), 0.0,
+             "74e6bb6a854b1665f896d1212911669edf882911103ce76bbb9c78720858b2d7", True),
+            (dict(window_factor=0.8, model=ActivityModel.INDEPENDENT_THINNING), 0.0,
+             "fee4def9fc6b8a62c0e328b84a1c022133ec8c1c97dd4f01eb242862aa6e3a4a", True),
+        ],
+        ids=["voronoi-noise", "thinning-noise", "voronoi-lone-station", "thinning-lone-station"],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sinr_branches(self, monkeypatch, threads, kw, noise_power, digest, non_finite):
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
+        cfg = self.voronoi_cfg(**kw)
+        cfg = replace(cfg, network=cfg.network.with_(noise_power=noise_power))
+        montecarlo._shared_drops.cache_clear()
+        samples = sinr_samples(cfg)
+        assert _digest(samples) == digest
+        assert np.isinf(samples.sinr).all(axis=1).sum() == np.isnan(samples.sinr).all(axis=1).sum() == (
+            5 if non_finite else 0
+        )
+        assert any("non-finite SINR" in note for note in samples.annotations) == non_finite
+
 
 class TestNonFiniteConfig:
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -366,6 +394,18 @@ class TestNonFiniteConfig:
         counts = dict(n_drops=2, n_fading_per_drop=1, seed=0) | {name: value}
         with pytest.raises(ConfigError, match=f"{name} must be"):
             McConfig(network=net, window_radius=5.0, **counts)
+
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [(math.nan, "finite"), (math.inf, "finite"), (-1.0, "positive"), (0.0, "positive")],
+    )
+    def test_gap_report_threshold(self, threshold, message):
+        cfg = make_cfg(n_drops=4, n_fading=2, seed=1)
+        montecarlo._shared_drops.cache_clear()
+        with pytest.raises(ConfigError, match=f"threshold must be {message}"):
+            activity_gap_report(cfg, threshold)
+        # rejected before any drop is computed
+        assert montecarlo._shared_drops.cache_info().misses == 0
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_threshold(self, threshold):
@@ -435,8 +475,8 @@ class TestSharedDrops:
         cfg = make_cfg(lambda_b=100.0, lambda_u=30.0, n_drops=12, n_fading=10, seed=5)
         montecarlo._shared_drops.cache_clear()
         shared = {t: _gap_bits(activity_gap_report(cfg, t)) for t in COLD_GAPS}
-        # the first threshold computes both activity models' drops, the rest reuse them
-        assert montecarlo._shared_drops.cache_info().hits == 2 * (len(COLD_GAPS) - 1)
+        # the first threshold computes the Voronoi drops and their thinning twins, the rest reuse them
+        assert montecarlo._shared_drops.cache_info().hits == len(COLD_GAPS) - 1
         cold = {}
         for t in COLD_GAPS:
             montecarlo._shared_drops.cache_clear()
@@ -467,6 +507,43 @@ class TestSharedDrops:
         montecarlo._shared_drops.cache_clear()
         assert shared == bits(simulate_active_probability(voronoi))
         assert shared[3] == annotations
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "kw, digest",
+        [({}, COLD_DIGESTS[ActivityModel.INDEPENDENT_THINNING, 2]),
+         (dict(n_drops=24, seed=7, window_factor=1.5), None)],
+        ids=["frozen", "empty-drops"],
+    )
+    def test_gap_thinning_twin_matches_cold_run(self, monkeypatch, threads, kw, digest):
+        # the TestFrozenBits Voronoi configs; the second has 3 empty drops
+        monkeypatch.setenv("TRS_PLANNER_THREADS", str(threads))
+        cfg = make_cfg(**(dict(lambda_u=30.0, antennas=2, n_drops=16, n_fading=8, seed=2024) | kw))
+        thinning = replace(cfg, activity_model=ActivityModel.INDEPENDENT_THINNING)
+        built = {}
+        real = montecarlo._samples
+
+        def spy(cfg, drops):
+            built[cfg.activity_model] = real(cfg, drops)
+            return built[cfg.activity_model]
+
+        monkeypatch.setattr(montecarlo, "_samples", spy)
+        montecarlo._shared_drops.cache_clear()
+        report = activity_gap_report(cfg, 1.0)
+        info = montecarlo._shared_drops.cache_info()
+        assert (info.hits, info.misses) == (0, 1)  # one memo entry serves both models
+        twin = built[ActivityModel.INDEPENDENT_THINNING]
+
+        montecarlo._shared_drops.cache_clear()
+        cold = sinr_samples(thinning)
+        assert _digest(twin) == _digest(cold)
+        assert digest is None or _digest(cold) == digest
+        assert twin.annotations == cold.annotations
+        cold_est = outage_from_samples(cold, 1.0, thinning)
+        assert (report.thinning.mean.hex(), report.thinning.std_error.hex()) == (
+            cold_est.mean.hex(), cold_est.std_error.hex()
+        )
+        assert report.thinning == cold_est
 
     def test_other_worker_count_recomputes(self, monkeypatch):
         calls = []

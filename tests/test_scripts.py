@@ -25,6 +25,16 @@ def test_bad_input_exits_2(script, args, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+def test_activity_gap_bad_threshold_prints_no_table(threshold, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["activity_gap.py", "--threshold", threshold])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "activity_gap.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: threshold must be ")
+
+
 # stdout of reproduce_tables.py, recorded before the Toeplitz solutions were
 # reused across antenna counts
 REPRODUCE_TABLES = """\
