@@ -24,21 +24,22 @@ def main():
     args = parser.parse_args()
     rho_values = _parse_grid(args.rho_values)
 
-    for i, rho in enumerate(rho_values):
+    cfgs = []  # every row's config is checked before the table starts
+    for rho in rho_values:
         lam_b = rho * args.lambda_u
-        net = NetworkConfig(lambda_b=lam_b, lambda_u=args.lambda_u, antennas=1)
-        cfg = McConfig(
-            network=net,
+        cfgs.append(McConfig(
+            network=NetworkConfig(lambda_b=lam_b, lambda_u=args.lambda_u, antennas=1),
             window_radius=recommended_window(lam_b),
             n_drops=args.n_drops,
             n_fading_per_drop=args.n_fading,
             seed=args.seed,
-        )
+        ))
+    for i, (rho, cfg) in enumerate(zip(rho_values, cfgs)):
         rep = activity_gap_report(cfg, args.threshold)
         analytic = outage_probability(
-            args.threshold, active_probability(rho), 1, net.alpha
+            args.threshold, active_probability(rho), 1, cfg.network.alpha
         ).p_out
-        if i == 0:  # after the first row's checks, so bad input prints no table
+        if i == 0:  # after the threshold's check, so bad input prints no table
             print(
                 f"{'rho':>6s} {'analytic':>9s} {'thinning':>9s} {'voronoi':>9s} "
                 f"{'gap':>9s} {'3se(gap)':>9s}"

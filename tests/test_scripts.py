@@ -25,14 +25,19 @@ def test_bad_input_exits_2(script, args, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
-def test_activity_gap_bad_threshold_prints_no_table(threshold, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["activity_gap.py", "--threshold", threshold])
+@pytest.mark.parametrize("args, error", [
+    (["--threshold", "nan"], "threshold must be finite"),
+    (["--threshold", "-1"], "threshold must be positive"),
+    (["--threshold", "inf"], "threshold must be finite"),
+    (["--rho-values", "10,-1", "--n-drops", "4", "--n-fading", "2"], "lambda_b must be positive"),
+])
+def test_activity_gap_bad_input_prints_no_table(args, error, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["activity_gap.py", *args])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / "activity_gap.py"), run_name="__main__")
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: threshold must be ")
+    assert out == "" and err.startswith(f"error: {error}")
 
 
 # stdout of reproduce_tables.py, recorded before the Toeplitz solutions were
