@@ -262,14 +262,10 @@ def _config_from_args(args) -> tuple[NetworkConfig, float | None, Scenario | Non
         return cfg, args.target_rate_mbps, None
     scenario = _scenario_from_args(args)
     cfg = scenario.network_config()
-    if args.bandwidth_mhz is not None:
-        cfg = cfg.with_(bandwidth_mhz=args.bandwidth_mhz)
-    if args.antennas is not None:
-        cfg = cfg.with_(antennas=args.antennas)
-    if args.alpha is not None:
-        cfg = cfg.with_(alpha=args.alpha)
-    if args.load_model is not None:
-        cfg = cfg.with_(load_model=LoadModel(args.load_model))
+    for name in ("bandwidth_mhz", "antennas", "alpha", "load_model"):
+        value = getattr(args, name)
+        if value is not None:
+            cfg = cfg.with_(**{name: LoadModel(value) if name == "load_model" else value})
     rate = args.target_rate_mbps if args.target_rate_mbps is not None else scenario.target_rate_mbps
     return cfg, rate, scenario
 
@@ -338,17 +334,7 @@ def cmd_curve(args) -> int:
         alpha=cfg.alpha, load_model=cfg.load_model,
     )
     if args.output == "json":
-        payload = {
-            "pair": curve.pair,
-            "target_rate_mbps": curve.target_rate_mbps,
-            "lambda_u": curve.lambda_u,
-            "held": curve.held,
-            "samples": [
-                {"axis1": s.axis1, "axis2": s.axis2, "feasible": s.feasible}
-                for s in curve.samples
-            ],
-        }
-        _write(_json_text(payload), args.out)
+        _write(_json_text(asdict(curve)), args.out)
     else:
         _write(curve_csv(curve), args.out)
     return EXIT_OK

@@ -76,12 +76,20 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-def _check_antennas(antennas) -> None:
+def _check_antennas(antennas, name: str = "antennas") -> None:
     """Whole count from 1 to the cap; inf and ints too large for a float fail the cap."""
     if antennas > MAX_ANTENNAS:
-        raise ConfigError(f"antennas must be at most {MAX_ANTENNAS}, got {antennas}")
+        raise ConfigError(f"{name} must be at most {MAX_ANTENNAS}, got {antennas}")
     if not antennas >= 1 or int(antennas) != antennas:
-        raise ConfigError(f"antennas must be an integer >= 1, got {antennas}")
+        raise ConfigError(f"{name} must be an integer >= 1, got {antennas}")
+
+
+def _check_threshold(threshold: float) -> None:
+    """A linear SINR threshold: finite and positive."""
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
+    if threshold <= 0.0:
+        raise ConfigError(f"threshold must be positive, got {threshold}")
 
 
 class LoadModel(enum.Enum):
@@ -256,10 +264,7 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
 
     Non-increasing in the antenna count and non-decreasing in the threshold.
     """
-    if not math.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
-    if threshold <= 0.0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     if not 0.0 < p_a <= 1.0:
         raise ConfigError(f"active probability must lie in (0, 1], got {p_a}")
     _check_antennas(antennas)

@@ -39,16 +39,18 @@ first stop window, if inside, is the one full blocks find.  A row whose
 window is not inside a sized first block is summed again from term 0 in
 full blocks, where its terms and stop match those of the row summed alone.
 
-Coefficient tables: :func:`coefficient_table` keeps, per ``(T, alpha)``, the
-longest prefix ``k_0 .. k_{n-1}`` computed so far and extends it on demand,
-for one threshold or for many in one :func:`_coeff_range` call.
+Coefficient tables: :func:`coefficient_table` keeps one memo per ``alpha``
+(:func:`_tables`, the four most recent exponents), holding per threshold the
+longest prefix ``k_0 .. k_{n-1}`` computed so far.  A table too short is
+extended on demand, for one threshold or for many in one :func:`_coeff_range`
+call, and stored as a new tuple in place of the old one; no lock is taken.
 :func:`coeff_k` computes its one row as a one-row job, uncached.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -62,8 +64,6 @@ _BATCH_CELLS = 1 << 16
 # padding cells a batched block may add to save a block of its own, about
 # the cells summed in a block's fixed numpy cost
 _PAD_CELLS = 1 << 10
-# coefficients held by the table cache across all (threshold, alpha) pairs
-_TABLE_CACHE_COEFFS = 1 << 17
 
 
 # the term indices n and n + 1 of a block starting at 0, shared read-only
@@ -269,7 +269,7 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
 
     ``k_0`` scales the Rayleigh (single-antenna) outage; the higher orders
     fill the lower-triangular Toeplitz system used for multi-antenna outage.
-    Computed as the one-row :func:`_coeff_range`, bypassing the table cache.
+    Computed as the one-row :func:`_coeff_range`, bypassing the table memo.
     """
     if i < 0 or int(i) != i:
         raise ValueError(f"coefficient order must be a non-negative integer, got {i}")
@@ -278,48 +278,26 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     return _coeff_range([(float(threshold), int(i), int(i) + 1)], float(alpha))[0][0]
 
 
-class _TableCache:
-    """Longest known coefficient table per (threshold, alpha).
+@lru_cache(maxsize=4)
+def _tables(alpha: float) -> dict:
+    """Longest coefficient table computed so far per threshold, for one alpha.
 
-    Least recently used tables are dropped once more than ``max_coeffs``
-    coefficients are held in total.
+    Each value is a tuple; a longer table replaces the old one whole, so a
+    concurrent reader sees one or the other and at worst repeats work, as
+    with the solutions of :mod:`trs_planner.coverage`.  A group is not
+    bounded in size: the tables of the four most recent exponents are kept
+    whole.
     """
-
-    def __init__(self, max_coeffs: int):
-        self._max_coeffs = max_coeffs
-        self._tables: dict[tuple[float, float], tuple[float, ...]] = {}
-        self._held = 0
-        self._lock = threading.Lock()
-
-    def get_many(self, keys) -> list:
-        """The table of each key, or None; each found key becomes the most recent."""
-        found = []
-        with self._lock:
-            for key in keys:
-                table = self._tables.pop(key, None)
-                if table is not None:
-                    self._tables[key] = table
-                found.append(table)
-        return found
-
-    def put(self, key, table: tuple[float, ...]) -> None:
-        with self._lock:
-            self._held += len(table) - len(self._tables.pop(key, ()))
-            self._tables[key] = table
-            while self._held > self._max_coeffs and len(self._tables) > 1:
-                self._held -= len(self._tables.pop(next(iter(self._tables))))
-
-
-_tables = _TableCache(_TABLE_CACHE_COEFFS)
+    return {}
 
 
 def coefficient_table(size: int, threshold, alpha: float):
     """The first ``size`` coefficients k_0 .. k_{size-1} at (threshold, alpha).
 
     ``threshold`` may also be a list or tuple of thresholds, which gives a
-    list with one table per threshold.  The cache is read for all of them
-    under one lock, and every table it lacks or holds too short is extended
-    in one :func:`_coeff_range` call.
+    list with one table per threshold.  Tables are kept per ``alpha`` (see
+    :func:`_tables`), and every table that is missing or too short is
+    extended in one :func:`_coeff_range` call.
     """
     if size < 1:
         raise ValueError(f"table size must be >= 1, got {size}")
@@ -330,21 +308,15 @@ def coefficient_table(size: int, threshold, alpha: float):
             _check_threshold(t)
     _check_alpha(alpha)
     alpha = float(alpha)
-    keys = [(float(t), alpha) for t in thresholds]
-    tables = _tables.get_many(keys)
-    short = {}
-    for n, key in enumerate(keys):
-        table = tables[n] or ()
-        tables[n] = table
-        if len(table) < size:
-            short.setdefault(key, table)
+    store = _tables(alpha)
+    keys = [float(t) for t in thresholds]
+    tables = [store.get(t, ()) for t in keys]
+    short = {t: table for t, table in zip(keys, tables) if len(table) < size}
     if short:
-        jobs = [(key[0], len(table), size) for key, table in short.items()]
-        grown = {}
-        for (key, table), rows in zip(short.items(), _coeff_range(jobs, alpha)):
-            grown[key] = table + tuple(rows)
-            _tables.put(key, grown[key])
-        tables = [grown.get(key, table) for key, table in zip(keys, tables)]
+        jobs = [(t, len(table), size) for t, table in short.items()]
+        for (t, table), rows in zip(short.items(), _coeff_range(jobs, alpha)):
+            short[t] = store[t] = table + tuple(rows)
+        tables = [short.get(t, table) for t, table in zip(keys, tables)]
     if many:
         return [table[:size] for table in tables]
     return tables[0][:size]

@@ -45,7 +45,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .coverage import ConfigError, NetworkConfig, active_probability
+from .coverage import ConfigError, NetworkConfig, _check_threshold, active_probability
 
 THREADS_ENV_VAR = "TRS_PLANNER_THREADS"
 _TRUNCATION_FRACTION = 1e-3
@@ -360,13 +360,6 @@ def _estimate_from_drop_values(values: np.ndarray, cfg: McConfig, annotations=()
         n_drops=cfg.n_drops,
         annotations=tuple(annotations),
     )
-
-
-def _check_threshold(threshold: float) -> None:
-    if not math.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
-    if threshold <= 0.0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
 
 
 def outage_from_samples(samples: SinrSamples, threshold: float, cfg: McConfig) -> McEstimate:

@@ -26,6 +26,7 @@ from .coverage import (
     ConfigError,
     LoadModel,
     NetworkConfig,
+    _check_antennas,
     active_probability,
     mean_load_share,
     spectral_efficiency,
@@ -230,10 +231,7 @@ def required_antennas(
     """
     if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
         raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
-    if not math.isfinite(max_antennas) or int(max_antennas) != max_antennas or max_antennas < 1:
-        raise ConfigError(f"max_antennas must be an integer >= 1, got {max_antennas}")
-    if max_antennas > MAX_ANTENNAS:
-        raise ConfigError(f"max_antennas must be at most {MAX_ANTENNAS}, got {max_antennas}")
+    _check_antennas(max_antennas, name="max_antennas")
 
     # tolerate float dust when the demand sits exactly on a solved point
     floor = target_rate_mbps * (1.0 - RATE_REL_TOL)
@@ -334,8 +332,8 @@ def indifference_curve(
 
 def log_grid(lo: float, hi: float, points: int = 64):
     """Default curve grid: log-spaced, endpoints included."""
-    if lo <= 0 or hi <= lo:
-        raise ConfigError(f"grid bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
     if points < 1:
         raise ConfigError(f"grid points must be >= 1, got {points}")
     return list(np.geomspace(lo, hi, points))

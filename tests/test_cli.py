@@ -171,13 +171,23 @@ class TestCurve:
         header, rows = cli.read_csv(path.read_text())
         assert header == ["axis1", "axis2", "feasible"] and len(rows) == 2
 
-    def test_negative_grid_points_exit_2(self, capsys):
+    def test_negative_grid_points_exit_2(self, capsys, recwarn):
         code, out, err = run(
             ["curve", "--scenario", "sparse", "--pair", "w-density", "--grid-points", "-1"],
             capsys,
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "points" in err
+        # non-finite bounds are the grid's fault, named before numpy sees them
+        for lo, hi in (("1", "inf"), ("nan", "100")):
+            code, out, err = run(
+                ["curve", "--scenario", "sparse", "--pair", "w-density",
+                 "--grid-min", lo, "--grid-max", hi, "--grid-points", "3"],
+                capsys,
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: grid bounds must satisfy 0 < lo < hi < inf"), err
+        assert not recwarn.list
 
 
 class TestTrsCommand:

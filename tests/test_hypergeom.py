@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -229,10 +232,11 @@ BLOCK_CARRY = (410, 400.0, 4.0), {
 
 
 @pytest.fixture
-def fresh_tables(monkeypatch):
-    """An empty coefficient-table cache for the duration of one test."""
-    cache = hypergeom._TableCache(hypergeom._TABLE_CACHE_COEFFS)
-    monkeypatch.setattr(hypergeom, "_tables", cache)
+def fresh_tables():
+    """An empty coefficient-table memo for the duration of one test."""
+    hypergeom._tables.cache_clear()
+    yield
+    hypergeom._tables.cache_clear()
 
 
 # sha256 of the space-joined float.hex of coefficient_table(1024, PIN_THRESHOLDS,
@@ -323,23 +327,23 @@ class TestFrozenBits:
         assert series_calls == []
         assert [v.hex() for v in values] == [FROZEN_TABLES[key][1][i] for i in range(size)]
 
-    def test_growth_order_does_not_change_tables(self, monkeypatch):
+    def test_growth_order_does_not_change_tables(self, fresh_tables):
         tables = {}
         for order in ((3, 8), (8, 3)):
-            monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(1 << 10))
+            hypergeom._tables.cache_clear()
             tables[order] = [coefficient_table(n, 2.0, 3.5) for n in order]
         assert tables[(3, 8)] == tables[(8, 3)][::-1]
 
-    def test_cache_drops_least_recently_used(self):
-        cache = hypergeom._TableCache(10)
-        cache.put(1.0, (1.0,) * 6)
-        cache.put(2.0, (1.0,) * 4)
-        assert len(cache.get_many([1.0])[0]) == 6  # now the most recent
-        cache.put(3.0, (1.0,) * 3)
-        assert cache.get_many([2.0]) == [None]
-        assert all(cache.get_many([1.0, 3.0]))
-        cache.put(4.0, (1.0,) * 12)  # alone above the bound, still kept
-        assert cache.get_many([4.0, 1.0, 3.0]) == [(1.0,) * 12, None, None]
+    def test_stored_tables_are_tuples_and_bounded(self, fresh_tables):
+        maxsize = hypergeom._tables.cache_info().maxsize
+        assert maxsize is not None
+        for alpha in np.linspace(2.5, 6.0, maxsize + 3):
+            for size in (2, 5, 3):
+                coefficient_table(size, [2.0, 7.0], float(alpha))
+            assert hypergeom._tables.cache_info().currsize <= maxsize
+        group = hypergeom._tables(6.0)
+        assert sorted(group) == [2.0, 7.0]
+        assert all(type(table) is tuple and len(table) == 5 for table in group.values())
 
     def test_capped_and_ten_block_rows_keep_digest(self, fresh_tables):
         tables = [table for alpha in PIN_ALPHAS for table in coefficient_table(1024, PIN_THRESHOLDS, alpha)]
@@ -390,24 +394,24 @@ class TestBatchedTables:
     """Many thresholds in one call give every bit of one threshold at a time."""
 
     @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
-    def test_fresh_tables_match_one_at_a_time(self, fresh_tables, monkeypatch, alpha):
+    def test_fresh_tables_match_one_at_a_time(self, fresh_tables, alpha):
         batched = coefficient_table(BATCH_SIZE, BATCH_THRESHOLDS, alpha)
         for t, table in zip(BATCH_THRESHOLDS, batched):
             assert len(table) == BATCH_SIZE
             assert [v.hex() for v in table] == [coeff_k(i, t, alpha).hex() for i in range(BATCH_SIZE)], t
-        monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(hypergeom._TABLE_CACHE_COEFFS))
+        hypergeom._tables.cache_clear()
         alone = [coefficient_table(BATCH_SIZE, t, alpha) for t in BATCH_THRESHOLDS]
         assert [[v.hex() for v in table] for table in batched] == [
             [v.hex() for v in table] for table in alone
         ]
 
     @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
-    def test_grown_tables_match_one_at_a_time(self, fresh_tables, monkeypatch, alpha):
+    def test_grown_tables_match_one_at_a_time(self, fresh_tables, alpha):
         # some tables cached short, one absent, one already long enough
         coefficient_table(3, BATCH_THRESHOLDS[1:4], alpha)
         coefficient_table(BATCH_SIZE + 5, BATCH_THRESHOLDS[-1], alpha)
         grown = coefficient_table(BATCH_SIZE, BATCH_THRESHOLDS, alpha)
-        monkeypatch.setattr(hypergeom, "_tables", hypergeom._TableCache(hypergeom._TABLE_CACHE_COEFFS))
+        hypergeom._tables.cache_clear()
         alone = [coefficient_table(BATCH_SIZE, t, alpha) for t in BATCH_THRESHOLDS]
         assert [[v.hex() for v in table] for table in grown] == [
             [v.hex() for v in table] for table in alone
@@ -428,6 +432,42 @@ class TestBatchedTables:
         assert tables[1] == tables[3] and all(len(table) == 4 for table in tables)
         assert coefficient_table(4, (3.0,), 4.0) == [tables[1]]
         assert len(calls) == 2
+
+    def test_concurrent_callers_get_cold_tables(self, fresh_tables):
+        # one exponent more than the memo keeps, so groups are dropped while
+        # in use, and tables are grown and replaced without a lock
+        n_alphas = hypergeom._tables.cache_info().maxsize + 1
+        jobs = [(size, t, float(alpha)) for alpha in np.linspace(3.0, 5.0, n_alphas)
+                for t in (0.5, 99.1, 1e4) for size in (2, 7, 16, 33)] * 3
+        random.Random(7).shuffle(jobs)
+
+        def bits(job):
+            return [v.hex() for v in coefficient_table(*job)]
+
+        cold = {job: [coeff_k(i, *job[1:]).hex() for i in range(job[0])] for job in set(jobs)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(bits, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [cold[job] for job in jobs]
+
+    def test_shorter_table_stored_last_does_not_shorten_the_answer(self, monkeypatch):
+        # a concurrent caller that grew the same table less may store it
+        # after this one; each caller answers from the table it grew itself
+        class Racing(dict):
+            def __setitem__(self, key, table):
+                super().__setitem__(key, table[:1])
+
+        store = Racing()
+        monkeypatch.setattr(hypergeom, "_tables", lambda alpha: store)
+        size, bits = FROZEN_TABLES[2.0, 3.5]
+        for n in (3, size):
+            values = coefficient_table(n, [2.0], 3.5)[0]
+            assert [v.hex() for v in values] == [bits[i] for i in range(n)]
+        assert len(store[2.0]) == 1
 
     def test_many_threshold_domain_errors(self):
         with pytest.raises(ValueError, match="finite"):

@@ -248,6 +248,13 @@ class TestIndifferenceCurve:
         with pytest.raises(ConfigError, match="points"):
             log_grid(1.0, 10.0, points)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 10.0), (10.0, 1.0), (1.0, math.inf), (math.nan, 10.0), (1.0, math.nan), (-math.inf, 10.0),
+    ])
+    def test_log_grid_needs_finite_ordered_bounds(self, lo, hi):
+        with pytest.raises(ConfigError, match="grid bounds"):
+            log_grid(lo, hi, 3)
+
 
 class TestTrsValues:
     def test_antenna_trs_positive_and_increasing(self):
