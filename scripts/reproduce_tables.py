@@ -46,6 +46,6 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2)

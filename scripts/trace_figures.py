@@ -56,6 +56,6 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # OSError: an --out-dir that cannot be made or written
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2)

@@ -1,8 +1,13 @@
 """Command-line front end: rate reports, curves, TRS tables, validation, scenarios.
 
+A scenario, bundled or read from a file, becomes one checked ``Scenario``
+record when it loads; the config flags then override its fields, or stand
+alone given ``--lambda-b`` and ``--lambda-u``.
+
 Exit codes: 0 success (including infeasible planning results, which are
-results), 1 validation-suite failure, 2 invalid configuration, 3 numeric
-failure.
+results), 1 validation-suite failure, 2 invalid configuration (including a
+missing, unreadable or non-UTF-8 scenario file and an unwritable ``--out``),
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,97 +49,79 @@ SCENARIO_KEYS = {
     "target_rate_mbps": float,
     "max_antennas": int,
 }
+# the scenario keys passed to NetworkConfig unchanged
+_NETWORK_KEYS = ("lambda_b", "lambda_u", "antennas", "alpha", "noise_power", "tx_power")
 
+# the scenarios of scenarios/baseline.scenario, the other keys at their defaults
 BUILTIN_SCENARIOS = {
-    "sparse": {
-        "lambda_b": 10.0,
-        "lambda_u": 100.0,
-        "antennas": 1,
-        "bandwidth_mhz": "auto",
-        "alpha": 4.0,
-        "load_model": "mean-load",
-        "target_rate_mbps": 15.0,
-    },
-    "dense": {
-        "lambda_b": 1000.0,
-        "lambda_u": 100.0,
-        "antennas": 1,
-        "bandwidth_mhz": "auto",
-        "alpha": 4.0,
-        "load_model": "mean-load",
-        "target_rate_mbps": 420.0,
-    },
+    "sparse": {"lambda_b": 10.0, "lambda_u": 100.0, "target_rate_mbps": 15.0},
+    "dense": {"lambda_b": 1000.0, "lambda_u": 100.0, "target_rate_mbps": 420.0},
 }
 
 
+@dataclass(frozen=True)
 class Scenario:
-    """One named entry of a scenario file, resolved lazily to configs."""
+    """One named scenario, checked once when it loads (see ``_scenario``)."""
 
-    def __init__(self, name: str, fields: dict):
-        self.name = name
-        unknown = set(fields) - set(SCENARIO_KEYS)
-        if unknown:
-            raise ConfigError(f"scenario {name!r} has unknown keys: {sorted(unknown)}")
-        for key in ("lambda_b", "lambda_u", "target_rate_mbps"):
-            if key not in fields:
-                raise ConfigError(f"scenario {name!r} is missing {key}")
-        self.target_rate_mbps = float(fields["target_rate_mbps"])
-        if self.target_rate_mbps <= 0:
-            raise ConfigError(f"scenario {name!r}: target_rate_mbps must be positive")
-        self.max_antennas = int(fields.get("max_antennas", MAX_ANTENNAS))
-        if not 1 <= self.max_antennas <= MAX_ANTENNAS:
-            raise ConfigError(
-                f"scenario {name!r}: max_antennas must be >= 1 and at most {MAX_ANTENNAS}, "
-                f"got {self.max_antennas}"
-            )
-        raw_w = fields.get("bandwidth_mhz", "auto")
-        self._auto_bandwidth = raw_w == "auto"
-        load = fields.get("load_model", "mean-load")
-        try:
-            load_model = LoadModel(load)
-        except ValueError as err:
-            raise ConfigError(
-                f"scenario {name!r}: unknown load_model {load!r} "
-                f"(expected one of {[m.value for m in LoadModel]})"
-            ) from err
-        self._base = dict(
-            lambda_b=float(fields["lambda_b"]),
-            lambda_u=float(fields["lambda_u"]),
-            antennas=int(fields.get("antennas", 1)),
-            alpha=float(fields.get("alpha", 4.0)),
-            noise_power=float(fields.get("noise_power", 0.0)),
-            tx_power=float(fields.get("tx_power", 1.0)),
-            load_model=load_model,
-        )
-        if not self._auto_bandwidth:
-            self._base["bandwidth_mhz"] = float(raw_w)
-        # validate the physical quantities now, at load time
-        probe = NetworkConfig(**{"bandwidth_mhz": 0.0, **self._base})
-        if probe.noise_power != 0.0:
-            coverage.user_rate(probe)  # the analytic model rejects noise with its reason
-
-    def network_config(self) -> NetworkConfig:
-        base = dict(self._base)
-        if self._auto_bandwidth:
-            base["bandwidth_mhz"] = trs.required_spectrum(
-                self.target_rate_mbps,
-                base["lambda_b"],
-                base["antennas"],
-                base["lambda_u"],
-                base["alpha"],
-                base["load_model"],
-            )
-        return NetworkConfig(**base)
+    name: str
+    network: NetworkConfig  # bandwidth_mhz is 0 when the scenario says auto
+    auto_bandwidth: bool
+    target_rate_mbps: float
+    max_antennas: int
 
     def operating_point(self) -> trs.OperatingPoint:
-        return trs.OperatingPoint(config=self.network_config(), target_rate_mbps=self.target_rate_mbps)
+        """The operating point; an auto bandwidth is solved here, before any flag override."""
+        cfg = self.network
+        if self.auto_bandwidth:
+            cfg = cfg.with_(bandwidth_mhz=trs.required_spectrum(
+                self.target_rate_mbps, cfg.lambda_b, cfg.antennas, cfg.lambda_u, cfg.alpha,
+                cfg.load_model,
+            ))
+        return trs.OperatingPoint(config=cfg, target_rate_mbps=self.target_rate_mbps)
+
+
+def _scenario(name: str, fields: dict) -> Scenario:
+    """Check one scenario's parsed fields and build its record; ``NetworkConfig`` checks physics."""
+    for key in ("lambda_b", "lambda_u", "target_rate_mbps"):
+        if key not in fields:
+            raise ConfigError(f"scenario {name!r} is missing {key}")
+    target = fields["target_rate_mbps"]
+    if not math.isfinite(target):
+        raise ConfigError(f"scenario {name!r}: target_rate_mbps must be finite, got {target}")
+    if target <= 0:
+        raise ConfigError(f"scenario {name!r}: target_rate_mbps must be positive")
+    max_antennas = fields.get("max_antennas", MAX_ANTENNAS)
+    if not 1 <= max_antennas <= MAX_ANTENNAS:
+        raise ConfigError(
+            f"scenario {name!r}: max_antennas must be >= 1 and at most {MAX_ANTENNAS}, "
+            f"got {max_antennas}"
+        )
+    load = fields.get("load_model", "mean-load")
+    try:
+        load_model = LoadModel(load)
+    except ValueError as err:
+        raise ConfigError(
+            f"scenario {name!r}: unknown load_model {load!r} "
+            f"(expected one of {[m.value for m in LoadModel]})"
+        ) from err
+    bandwidth = fields.get("bandwidth_mhz", "auto")
+    auto = bandwidth == "auto"
+    network = NetworkConfig(
+        **{key: fields[key] for key in _NETWORK_KEYS if key in fields},
+        bandwidth_mhz=0.0 if auto else bandwidth,
+        load_model=load_model,
+    )
+    if network.noise_power != 0.0:
+        coverage.user_rate(network)  # the analytic model rejects noise with its reason
+    return Scenario(name, network, auto, target, max_antennas)
 
 
 def parse_scenario_text(text: str) -> dict[str, Scenario]:
     """Parse the flat dotted key-value scenario format.
 
     Lines look like ``name.key = value``; ``#`` starts a comment; blank
-    lines are ignored.  Unknown keys and invalid quantities are rejected.
+    lines are ignored.  Unknown or repeated keys and invalid quantities are
+    rejected.
     """
     groups: dict[str, dict] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,27 +136,22 @@ def parse_scenario_text(text: str) -> dict[str, Scenario]:
         name, field = key.split(".", 1)
         if field not in SCENARIO_KEYS:
             raise ConfigError(f"scenario line {lineno}: unknown key {field!r}")
-        caster = SCENARIO_KEYS[field]
-        if caster is str:
-            parsed = value
-        else:
-            try:
-                parsed = caster(value)
-            except ValueError as err:
-                raise ConfigError(
-                    f"scenario line {lineno}: cannot parse {value!r} for {field!r}"
-                ) from err
-        groups.setdefault(name, {})[field] = parsed
-    return {name: Scenario(name, fields) for name, fields in groups.items()}
+        fields = groups.setdefault(name, {})
+        if field in fields:
+            raise ConfigError(f"scenario line {lineno}: key {key!r} is already set")
+        try:
+            fields[field] = SCENARIO_KEYS[field](value)
+        except ValueError as err:
+            raise ConfigError(
+                f"scenario line {lineno}: cannot parse {value!r} for {field!r}"
+            ) from err
+    return {name: _scenario(name, fields) for name, fields in groups.items()}
 
 
 def builtin_scenario(name: str) -> Scenario:
-    try:
-        return Scenario(name, dict(BUILTIN_SCENARIOS[name]))
-    except KeyError as err:
-        raise ConfigError(
-            f"unknown scenario {name!r} (bundled: {sorted(BUILTIN_SCENARIOS)})"
-        ) from err
+    if name not in BUILTIN_SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r} (bundled: {sorted(BUILTIN_SCENARIOS)})")
+    return _scenario(name, BUILTIN_SCENARIOS[name])
 
 
 def _fmt(value) -> str:
@@ -232,7 +214,11 @@ def _write(text: str, out_path):
 
 def _scenario_from_args(args) -> Scenario:
     if getattr(args, "file", None):
-        table = parse_scenario_text(Path(args.file).read_text())
+        try:
+            text = Path(args.file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"scenario file {args.file!r} is not UTF-8 text: {err}") from err
+        table = parse_scenario_text(text)
         name = args.scenario or (next(iter(table)) if len(table) == 1 else None)
         if name is None:
             raise ConfigError(
@@ -244,34 +230,29 @@ def _scenario_from_args(args) -> Scenario:
     return builtin_scenario(args.scenario or "sparse")
 
 
-def _config_from_args(args) -> tuple[NetworkConfig, float | None, Scenario | None]:
-    """Network config plus optional demand, from flags or a scenario."""
+def _config_from_args(args) -> tuple[NetworkConfig, float | None]:
+    """Network config and optional demand, from flags or a scenario; each set flag overrides."""
+    overrides = {
+        name: getattr(args, name)
+        for name in ("antennas", "bandwidth_mhz", "alpha", "load_model")
+        if getattr(args, name) is not None
+    }
+    if "load_model" in overrides:
+        overrides["load_model"] = LoadModel(overrides["load_model"])
     if args.lambda_b is not None or args.lambda_u is not None:
         required = {"--lambda-b": args.lambda_b, "--lambda-u": args.lambda_u}
         missing = [flag for flag, value in required.items() if value is None]
         if missing:
             raise ConfigError(f"missing {missing} (or use --scenario/--file)")
-        cfg = NetworkConfig(
-            lambda_b=args.lambda_b,
-            lambda_u=args.lambda_u,
-            antennas=args.antennas if args.antennas is not None else 1,
-            bandwidth_mhz=args.bandwidth_mhz or 0.0,
-            alpha=args.alpha if args.alpha is not None else 4.0,
-            load_model=LoadModel(args.load_model or "mean-load"),
-        )
-        return cfg, args.target_rate_mbps, None
+        cfg = NetworkConfig(lambda_b=args.lambda_b, lambda_u=args.lambda_u, **overrides)
+        return cfg, args.target_rate_mbps
     scenario = _scenario_from_args(args)
-    cfg = scenario.network_config()
-    for name in ("bandwidth_mhz", "antennas", "alpha", "load_model"):
-        value = getattr(args, name)
-        if value is not None:
-            cfg = cfg.with_(**{name: LoadModel(value) if name == "load_model" else value})
-    rate = args.target_rate_mbps if args.target_rate_mbps is not None else scenario.target_rate_mbps
-    return cfg, rate, scenario
+    rate = scenario.target_rate_mbps if args.target_rate_mbps is None else args.target_rate_mbps
+    return scenario.operating_point().config.with_(**overrides), rate
 
 
 def cmd_rate(args) -> int:
-    cfg, _, _ = _config_from_args(args)
+    cfg, _ = _config_from_args(args)
     rate = coverage.user_rate(cfg)
     p_a = coverage.active_probability(cfg.rho)
     se = coverage.spectral_efficiency(p_a, cfg.antennas, cfg.alpha)
@@ -320,7 +301,7 @@ def _parse_counts(raw: str, flag: str, most: int) -> list[int]:
 
 
 def cmd_curve(args) -> int:
-    cfg, rate, _ = _config_from_args(args)
+    cfg, rate = _config_from_args(args)
     if rate is None:
         raise ConfigError("curve needs --target-rate-mbps or a scenario demand")
     if args.grid:
@@ -341,7 +322,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_trs(args) -> int:
-    cfg, rate, _ = _config_from_args(args)
+    cfg, rate = _config_from_args(args)
     if rate is None:
         raise ConfigError("trs needs --target-rate-mbps or a scenario demand")
     values = []
@@ -463,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p, with_demand=True):
+    def add_config_flags(p):
         p.add_argument("--scenario", help="bundled or in-file scenario name")
         p.add_argument("--file", help="scenario file path")
         p.add_argument("--lambda-b", type=float, dest="lambda_b")
@@ -473,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--load-model", default=None,
                        choices=[m.value for m in LoadModel])
-        if with_demand:
-            p.add_argument("--target-rate-mbps", type=float, dest="target_rate_mbps")
+        p.add_argument("--target-rate-mbps", type=float, dest="target_rate_mbps")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_rate = sub.add_parser("rate", help="per-user rate at an operating point")
@@ -538,7 +518,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # OSError: an unreadable --file or unwritable --out
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (QuadratureError, ArithmeticError, ValueError) as err:

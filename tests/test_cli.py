@@ -5,8 +5,12 @@ import json
 
 import pytest
 
+from pathlib import Path
+
 from trs_planner import cli
 from trs_planner.coverage import ConfigError, QuadratureError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv, capsys):
@@ -35,7 +39,8 @@ class TestScenarioFile:
     def test_parse_and_resolve(self):
         table = cli.parse_scenario_text(SCENARIO_TEXT)
         assert set(table) == {"tiny", "big"}
-        cfg = table["tiny"].network_config()
+        assert table["tiny"].network.bandwidth_mhz == 0.0 and table["tiny"].auto_bandwidth
+        cfg = table["tiny"].operating_point().config
         assert cfg.bandwidth_mhz == pytest.approx(70.1, abs=0.1)
 
     def test_unknown_key_rejected(self):
@@ -57,8 +62,34 @@ class TestScenarioFile:
     def test_builtin_scenarios_present(self):
         sparse = cli.builtin_scenario("sparse")
         dense = cli.builtin_scenario("dense")
-        assert sparse.target_rate_mbps == 15.0 and sparse._base["lambda_b"] == 10.0
-        assert dense.target_rate_mbps == 420.0 and dense._base["lambda_b"] == 1000.0
+        assert sparse.target_rate_mbps == 15.0 and sparse.network.lambda_b == 10.0
+        assert dense.target_rate_mbps == 420.0 and dense.network.lambda_b == 1000.0
+
+    def test_bundled_file_holds_the_builtins(self):
+        text = (ROOT / "scenarios" / "baseline.scenario").read_text()
+        assert cli.parse_scenario_text(text) == {
+            name: cli.builtin_scenario(name) for name in ("sparse", "dense")
+        }
+
+    def test_key_set_twice_rejected(self):
+        # the second value was taken without a word
+        with pytest.raises(ConfigError, match=r"scenario line 3: key 'x.lambda_b' is already set"):
+            cli.parse_scenario_text("x.lambda_b = 10\nx.lambda_u = 100\nx.lambda_b = 20\n")
+
+    @pytest.mark.parametrize("target, error", [
+        ("nan", "target_rate_mbps must be finite, got nan"),
+        ("inf", "target_rate_mbps must be finite, got inf"),
+        ("0", "target_rate_mbps must be positive"),
+        ("-1", "target_rate_mbps must be positive"),
+    ])
+    def test_bad_target_rejected_at_load(self, capsys, tmp_path, target, error):
+        # a nan target loaded, and `rate` at a fixed bandwidth exited 0
+        path = tmp_path / "f.scenario"
+        path.write_text("x.lambda_b = 10\nx.lambda_u = 100\nx.bandwidth_mhz = 20\n"
+                        f"x.target_rate_mbps = {target}\n")
+        code, out, err = run(["rate", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: scenario 'x': {error}\n"
 
     @pytest.mark.parametrize("dropped", ["lambda_b", "lambda_u"])
     def test_missing_density_exit_2(self, capsys, tmp_path, dropped):
@@ -79,6 +110,32 @@ class TestScenarioFile:
         code, out, err = run(["rate", "--file", str(path)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "'bandwidth_mhz'" in err
+
+
+class TestFileErrors:
+    """A scenario file or output path the system refuses is a bad config: exit 2, no traceback."""
+
+    def test_missing_or_directory_file_exit_2(self, capsys, tmp_path):
+        # ended in an OSError traceback with exit 1
+        for path in (tmp_path / "absent.scenario", tmp_path):
+            code, out, err = run(["rate", "--file", str(path)], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and str(path) in err
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        # exited 3 as a numeric failure: UnicodeDecodeError is a ValueError
+        path = tmp_path / "latin1.scenario"
+        path.write_bytes("x.lambda_b = 10 # caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(["rate", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: scenario file {str(path)!r} is not UTF-8 text")
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        # ended in an OSError traceback with exit 1
+        path = tmp_path / "absent" / "x.json"
+        code, out, err = run(["rate", "--scenario", "sparse", "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestRate:

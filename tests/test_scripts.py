@@ -25,6 +25,19 @@ def test_bad_input_exits_2(script, args, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
+    # ended in a NotADirectoryError traceback with exit 1
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out_dir = blocker / "sub"
+    monkeypatch.setattr(sys, "argv", ["trace_figures.py", "--out-dir", str(out_dir)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "trace_figures.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(out_dir) in err
+
+
 @pytest.mark.parametrize("args, error", [
     (["--threshold", "nan"], "threshold must be finite"),
     (["--threshold", "-1"], "threshold must be positive"),
