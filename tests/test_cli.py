@@ -2,10 +2,9 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
-
-from pathlib import Path
 
 from trs_planner import cli
 from trs_planner.coverage import ConfigError, QuadratureError
