@@ -27,20 +27,27 @@ def main():
     parser.add_argument("--lambda-u", type=float, default=100.0)
     args = parser.parse_args()
 
+    # each table's rows are computed before its header, so bad input prints no table
+    rows = [
+        (name, m, trs_spectrum_antennas(rate, lam_b, m, args.lambda_u).magnitude, pub)
+        for name, (rate, lam_b, published) in ANTENNA_TABLE.items()
+        for m, pub in published.items()
+    ]
     print("TRS spectrum vs antennas (dM per MHz)")
     print(f"{'case':8s} {'M':>4s} {'computed':>10s} {'published':>10s} {'rel':>8s}")
-    for name, (rate, lam_b, published) in ANTENNA_TABLE.items():
-        for m, pub in published.items():
-            v = trs_spectrum_antennas(rate, lam_b, m, args.lambda_u).magnitude
-            print(f"{name:8s} {m:4d} {v:10.4f} {pub:10.4f} {(v - pub) / pub:+8.1%}")
+    for name, m, v, pub in rows:
+        print(f"{name:8s} {m:4d} {v:10.4f} {pub:10.4f} {(v - pub) / pub:+8.1%}")
 
+    rows = [
+        (name, lam_b, trs_spectrum_density(rate, lam_b, 1, args.lambda_u).magnitude, pub)
+        for name, (rate, published) in DENSITY_TABLE.items()
+        for lam_b, pub in published.items()
+    ]
     print()
     print("TRS spectrum vs densification (dlambda_b per MHz)")
     print(f"{'case':8s} {'lam_b':>6s} {'computed':>10s} {'published':>10s} {'rel':>8s}")
-    for name, (rate, published) in DENSITY_TABLE.items():
-        for lam_b, pub in published.items():
-            v = trs_spectrum_density(rate, lam_b, 1, args.lambda_u).magnitude
-            print(f"{name:8s} {lam_b:6.0f} {v:10.5f} {pub:10.5f} {(v - pub) / pub:+8.1%}")
+    for name, lam_b, v, pub in rows:
+        print(f"{name:8s} {lam_b:6.0f} {v:10.5f} {pub:10.5f} {(v - pub) / pub:+8.1%}")
 
 
 if __name__ == "__main__":

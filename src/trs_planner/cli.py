@@ -24,6 +24,7 @@ import numpy as np
 
 from . import coverage, montecarlo, trs
 from .coverage import MAX_ANTENNAS, ConfigError, LoadModel, NetworkConfig, QuadratureError
+from .hypergeom import _check_antennas, _check_rate
 from .montecarlo import ActivityModel, McConfig
 
 EXIT_OK = 0
@@ -86,16 +87,10 @@ def _scenario(name: str, fields: dict) -> Scenario:
         if key not in fields:
             raise ConfigError(f"scenario {name!r} is missing {key}")
     target = fields["target_rate_mbps"]
-    if not math.isfinite(target):
-        raise ConfigError(f"scenario {name!r}: target_rate_mbps must be finite, got {target}")
-    if target <= 0:
-        raise ConfigError(f"scenario {name!r}: target_rate_mbps must be positive")
+    _check_rate(target, name=f"scenario {name!r}: target_rate_mbps")
     max_antennas = fields.get("max_antennas", MAX_ANTENNAS)
-    if not 1 <= max_antennas <= MAX_ANTENNAS:
-        raise ConfigError(
-            f"scenario {name!r}: max_antennas must be >= 1 and at most {MAX_ANTENNAS}, "
-            f"got {max_antennas}"
-        )
+    _check_antennas(max_antennas, message=f"scenario {name!r}: max_antennas must be >= 1 and "
+                    f"at most {MAX_ANTENNAS}, got {max_antennas}")
     load = fields.get("load_model", "mean-load")
     try:
         load_model = LoadModel(load)
@@ -111,8 +106,7 @@ def _scenario(name: str, fields: dict) -> Scenario:
         bandwidth_mhz=0.0 if auto else bandwidth,
         load_model=load_model,
     )
-    if network.noise_power != 0.0:
-        coverage.user_rate(network)  # the analytic model rejects noise with its reason
+    coverage._check_noise(network.noise_power)
     return Scenario(name, network, auto, target, max_antennas)
 
 

@@ -45,12 +45,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .hypergeom import _check_alpha, coefficient_table
+from .hypergeom import MAX_ANTENNAS, ConfigError, coefficient_table  # MAX_ANTENNAS is re-exported
+from .hypergeom import _check_activity, _check_alpha, _check_antennas, _check_threshold
 
 LN2 = math.log(2.0)
-# Largest antenna count per station anywhere in the planner: the cost of one
-# rate grows with M^2 per quadrature node.
-MAX_ANTENNAS = 1024
 # Kronrod abscissae of QUADPACK's 21-point rule (dqk21), largest first; the
 # Gauss nodes are every second one.  The centre node is 0.
 _XGK = (
@@ -68,28 +66,17 @@ _XGK = (
 _MAX_DYADIC_DENOMINATOR = 1 << 40
 
 
-class ConfigError(ValueError):
-    """A physical quantity is outside the model's domain."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-def _check_antennas(antennas, name: str = "antennas") -> None:
-    """Whole count from 1 to the cap; inf and ints too large for a float fail the cap."""
-    if antennas > MAX_ANTENNAS:
-        raise ConfigError(f"{name} must be at most {MAX_ANTENNAS}, got {antennas}")
-    if not antennas >= 1 or int(antennas) != antennas:
-        raise ConfigError(f"{name} must be an integer >= 1, got {antennas}")
-
-
-def _check_threshold(threshold: float) -> None:
-    """A linear SINR threshold: finite and positive."""
-    if not math.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
-    if threshold <= 0.0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+def _check_noise(noise_power: float) -> None:
+    """The analytic model is interference-limited: it takes zero noise only."""
+    if noise_power != 0.0:
+        raise ConfigError(
+            "the analytic model is interference-limited; set noise_power=0 "
+            "(the Monte-Carlo module accepts a noise term)"
+        )
 
 
 class LoadModel(enum.Enum):
@@ -125,7 +112,7 @@ class NetworkConfig:
     def __post_init__(self):
         # the antenna count first: math.isfinite cannot take an int beyond a float
         _check_antennas(self.antennas)
-        for name in ("lambda_b", "lambda_u", "bandwidth_mhz", "alpha", "noise_power", "tx_power"):
+        for name in ("lambda_b", "lambda_u", "bandwidth_mhz", "noise_power", "tx_power"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_b <= 0.0:
@@ -134,14 +121,14 @@ class NetworkConfig:
             raise ConfigError(f"lambda_u must be positive, got {self.lambda_u}")
         if self.bandwidth_mhz < 0.0:
             raise ConfigError(f"bandwidth_mhz must be >= 0, got {self.bandwidth_mhz}")
-        if self.alpha <= 2.0:
-            raise ConfigError(f"alpha must exceed 2, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.noise_power < 0.0:
             raise ConfigError(f"noise_power must be >= 0, got {self.noise_power}")
         if self.tx_power <= 0.0:
             raise ConfigError(f"tx_power must be positive, got {self.tx_power}")
         if not isinstance(self.load_model, LoadModel):
             raise ConfigError(f"load_model must be a LoadModel, got {self.load_model!r}")
+        object.__setattr__(self, "bandwidth_mhz", abs(self.bandwidth_mhz))  # -0.0 would print a sign
 
     @property
     def rho(self) -> float:
@@ -265,9 +252,9 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
     Non-increasing in the antenna count and non-decreasing in the threshold.
     """
     _check_threshold(threshold)
-    if not 0.0 < p_a <= 1.0:
-        raise ConfigError(f"active probability must lie in (0, 1], got {p_a}")
+    _check_activity(p_a)
     _check_antennas(antennas)
+    _check_alpha(alpha)
     return OutageResult(
         p_out=_p_outs([threshold], p_a, int(antennas), alpha)[0],
         threshold=threshold,
@@ -317,11 +304,7 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
     coefficients and solutions of a node depend only on its threshold.  A
     wrong prediction therefore costs time, never bits.
     """
-    if not 0.0 < p_a <= 1.0:
-        raise ConfigError(
-            f"active probability must lie in (0, 1], got {p_a}"
-            + (" (an interference-free network has unbounded spectral efficiency)" if p_a <= 0 else "")
-        )
+    _check_activity(p_a)
     _check_antennas(antennas)
     _check_alpha(alpha)
     m = int(antennas)
@@ -375,11 +358,7 @@ def mean_load_share(config: NetworkConfig, p_a: float) -> float:
 
 def user_rate(config: NetworkConfig) -> float:
     """Average per-user data rate in Mbps, exactly linear in bandwidth."""
-    if config.noise_power != 0.0:
-        raise ConfigError(
-            "the analytic model is interference-limited; set noise_power=0 "
-            "(the Monte-Carlo module accepts a noise term)"
-        )
+    _check_noise(config.noise_power)
     p_a = active_probability(config.rho)
     se = spectral_efficiency(p_a, config.antennas, config.alpha)
     return config.bandwidth_mhz * se * mean_load_share(config, p_a)

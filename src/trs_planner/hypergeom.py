@@ -45,6 +45,10 @@ longest prefix ``k_0 .. k_{n-1}`` computed so far.  A table too short is
 extended on demand, for one threshold or for many in one :func:`_coeff_range`
 call, and stored as a new tuple in place of the old one; no lock is taken.
 :func:`coeff_k` computes its one row as a one-row job, uncached.
+
+Input rules: this leaf module also holds ``ConfigError`` and the one check of
+each input rule (threshold, exponent, activity, target rate, antenna count), so
+every layer up to the CLI rejects a bad value with the same error and text.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
+# Largest antenna count per station anywhere in the planner: the cost of one
+# rate grows with M^2 per quadrature node.
+MAX_ANTENNAS = 1024
 MAX_TERMS = 2_000_000
 NEAR_UNIT_W = 0.99
 _BLOCK = 4096
@@ -71,6 +78,10 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 _IDX1 = _IDX + 1.0
 _IDX.flags.writeable = False
 _IDX1.flags.writeable = False
+
+
+class ConfigError(ValueError):
+    """A physical quantity is outside the model's domain."""
 
 
 class HypergeometricError(ArithmeticError):
@@ -251,17 +262,42 @@ def _coeff_range(jobs, alpha: float) -> list[list[float]]:
 
 
 def _check_threshold(threshold: float) -> None:
+    """A linear SINR threshold: finite and positive."""
     if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+        raise ConfigError(f"threshold must be positive, got {threshold}")
 
 
 def _check_alpha(alpha: float) -> None:
+    """A path-loss exponent: finite and above 2, where the interference sum converges."""
     if not math.isfinite(alpha):
-        raise ValueError(f"path-loss exponent alpha must be finite, got {alpha}")
+        raise ConfigError(f"alpha must be finite, got {alpha}")
     if alpha <= 2.0:
-        raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
+        raise ConfigError(f"alpha must exceed 2, got {alpha}")
+
+
+def _check_activity(p_a: float) -> None:
+    """An active probability in (0, 1]."""
+    if not 0.0 < p_a <= 1.0:
+        why = " (an interference-free network has unbounded spectral efficiency)" if p_a <= 0 else ""
+        raise ConfigError(f"active probability must lie in (0, 1], got {p_a}{why}")
+
+
+def _check_rate(rate: float, name: str = "target rate", allow_zero: bool = False) -> None:
+    """A demand in Mbps: finite and positive, or zero too where ``allow_zero``."""
+    if not math.isfinite(rate):
+        raise ConfigError(f"{name} must be finite, got {rate}")
+    if rate < 0.0 or rate == 0.0 and not allow_zero:
+        raise ConfigError(f"{name} must be {'>= 0' if allow_zero else 'positive'}")
+
+
+def _check_antennas(antennas, name: str = "antennas", message: str | None = None) -> None:
+    """Whole count from 1 to the cap (inf fails the cap); ``message`` replaces either text."""
+    if antennas > MAX_ANTENNAS:
+        raise ConfigError(message or f"{name} must be at most {MAX_ANTENNAS}, got {antennas}")
+    if not antennas >= 1 or int(antennas) != antennas:
+        raise ConfigError(message or f"{name} must be an integer >= 1, got {antennas}")
 
 
 def coeff_k(i: int, threshold: float, alpha: float) -> float:
@@ -272,7 +308,7 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     Computed as the one-row :func:`_coeff_range`, bypassing the table memo.
     """
     if i < 0 or int(i) != i:
-        raise ValueError(f"coefficient order must be a non-negative integer, got {i}")
+        raise ConfigError(f"coefficient order must be a non-negative integer, got {i}")
     _check_threshold(threshold)
     _check_alpha(alpha)
     return _coeff_range([(float(threshold), int(i), int(i) + 1)], float(alpha))[0][0]
@@ -300,7 +336,7 @@ def coefficient_table(size: int, threshold, alpha: float):
     extended in one :func:`_coeff_range` call.
     """
     if size < 1:
-        raise ValueError(f"table size must be >= 1, got {size}")
+        raise ConfigError(f"table size must be >= 1, got {size}")
     many = isinstance(threshold, (list, tuple))
     thresholds = threshold if many else (threshold,)
     for t in thresholds:

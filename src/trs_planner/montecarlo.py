@@ -45,7 +45,8 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .coverage import ConfigError, NetworkConfig, _check_threshold, active_probability
+from .coverage import NetworkConfig, active_probability
+from .hypergeom import ConfigError, _check_threshold
 
 THREADS_ENV_VAR = "TRS_PLANNER_THREADS"
 _TRUNCATION_FRACTION = 1e-3
@@ -85,7 +86,10 @@ class McConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("n_drops", "n_fading_per_drop", "seed"):  # numpy sizes and ranges need ints
             object.__setattr__(self, name, int(getattr(self, name)))
-        expected_bs = self.expected_stations
+        try:
+            expected_bs = self.expected_stations
+        except OverflowError:  # window_radius**2 beyond a float; expected_users would be too
+            expected_bs = math.inf
         if not math.isfinite(expected_bs):
             raise ConfigError(
                 f"expected_stations (lambda_b*pi*window_radius**2) must be finite, got {expected_bs}"

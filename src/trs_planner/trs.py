@@ -21,17 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import (
-    MAX_ANTENNAS,
-    ConfigError,
-    LoadModel,
-    NetworkConfig,
-    _check_antennas,
-    active_probability,
-    mean_load_share,
-    spectral_efficiency,
-    user_rate,
-)
+from .hypergeom import MAX_ANTENNAS, ConfigError, _check_antennas, _check_rate
+# spectral_efficiency is re-exported: perfbench/tracing.py wraps trs.spectral_efficiency
+from .coverage import LoadModel, NetworkConfig, spectral_efficiency, user_rate  # noqa: F401
 
 RATE_REL_TOL = 1e-6
 DENSITY_REL_TOL = 1e-10
@@ -62,8 +54,7 @@ class OperatingPoint:
     target_rate_mbps: float
 
     def __post_init__(self):
-        if not math.isfinite(self.target_rate_mbps) or self.target_rate_mbps <= 0.0:
-            raise ConfigError(f"target rate must be finite and positive, got {self.target_rate_mbps}")
+        _check_rate(self.target_rate_mbps)
 
 
 def make_operating_point(
@@ -96,13 +87,8 @@ def required_spectrum(
     load_model: LoadModel = LoadModel.MEAN_LOAD,
 ) -> float:
     """Bandwidth (MHz) meeting the target rate; exact since rate is linear in W."""
-    if not math.isfinite(target_rate_mbps) or target_rate_mbps < 0.0:
-        raise ConfigError(f"target rate must be finite and >= 0, got {target_rate_mbps}")
-    cfg = NetworkConfig(
-        lambda_b=lambda_b, lambda_u=lambda_u, antennas=antennas, alpha=alpha, load_model=load_model
-    )
-    p_a = active_probability(cfg.rho)
-    denom = spectral_efficiency(p_a, antennas, alpha) * mean_load_share(cfg, p_a)
+    _check_rate(target_rate_mbps, allow_zero=True)
+    denom = _rate(lambda_b, 1.0, antennas, lambda_u, alpha, load_model)
     if denom <= 0.0 or not math.isfinite(denom):
         raise InfeasibleError(f"rate per MHz is degenerate ({denom}) at lambda_b={lambda_b}")
     return target_rate_mbps / denom
@@ -143,8 +129,7 @@ def required_density(
     saturates the rate grows only logarithmically with density, so demands
     can sit effectively out of reach.
     """
-    if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
-        raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
+    _check_rate(target_rate_mbps)
 
     def rate(lam):
         return _rate(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
@@ -229,8 +214,7 @@ def required_antennas(
     per-antenna gains diminish, so demands can be unreachable at any sane
     array size.
     """
-    if not math.isfinite(target_rate_mbps) or target_rate_mbps <= 0.0:
-        raise ConfigError(f"target rate must be finite and positive, got {target_rate_mbps}")
+    _check_rate(target_rate_mbps)
     _check_antennas(max_antennas, name="max_antennas")
 
     # tolerate float dust when the demand sits exactly on a solved point
@@ -298,10 +282,9 @@ def indifference_curve(
         held = {"lambda_b": lambda_b, "alpha": alpha, "load_model": load_model.value}
 
         def lever(m):  # (lambda_b, antennas) at a grid value
-            if not math.isfinite(m) or int(m) != m or not 1 <= m <= MAX_ANTENNAS:
-                raise ConfigError(
-                    f"antenna grid values must be integers from 1 to {MAX_ANTENNAS}, got {m}"
-                )
+            _check_antennas(
+                m, message=f"antenna grid values must be integers from 1 to {MAX_ANTENNAS}, got {m}"
+            )
             return lambda_b, int(m)
     elif pair == "w-density":
         if antennas is None:

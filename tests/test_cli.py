@@ -155,6 +155,17 @@ class TestRate:
         )
         assert code == 0
         assert json.loads(out)["rate_mbps"] == 0.0
+        # -0 printed "-0.0" and "-0" on both config paths
+        code, out, _ = run(
+            ["rate", "--lambda-b", "10", "--lambda-u", "100", "--bandwidth-mhz", "-0"], capsys
+        )
+        assert code == 0 and "-0" not in out
+        report = json.loads(out)
+        assert report["rate_mbps"] == 0.0 and report["config"]["bandwidth_mhz"] == 0.0
+        code, out, _ = run(
+            ["rate", "--scenario", "sparse", "--bandwidth-mhz", "-0", "--output", "human"], capsys
+        )
+        assert code == 0 and out.startswith("rate 0 Mbps  (W=0 MHz x ")
 
     def test_invalid_config_exit_2(self, capsys):
         code, _, err = run(["rate", "--lambda-b", "10", "--lambda-u", "100", "--alpha", "2"], capsys)
@@ -445,8 +456,10 @@ class TestNonFiniteInput:
             (["--window-factor", "nan"], "window_radius"),
             (["--lambda-u", "1e308"], "expected_stations"),
             (["--t-values", "nan"], "threshold"),
+            # the window's square overflowed, an OverflowError with exit 3
+            (["--window-factor", "1e200"], "expected_stations"),
         ],
-        ids=["window-factor", "lambda-u-overflow", "t-values"],
+        ids=["window-factor", "lambda-u-overflow", "t-values", "window-square-overflow"],
     )
     def test_validate_exit_2_naming_the_field(self, capsys, flags, field):
         argv = ["validate", "--rho-values", "1", "--m-values", "1", "--n-drops", "4",

@@ -24,7 +24,7 @@ from trs_planner.coverage import (
     spectral_efficiency,
     user_rate,
 )
-from trs_planner.hypergeom import coefficient_table
+from trs_planner.hypergeom import coeff_k, coefficient_table
 
 
 def scalar_outage(threshold, p_a, alpha):
@@ -338,7 +338,9 @@ class TestSolutionReuse:
         [
             ((0.5, 0, 4.0), ConfigError, "antennas must be an integer >= 1, got 0"),
             ((0.5, 1.5, 4.0), ConfigError, "antennas must be an integer >= 1, got 1.5"),
-            ((0.5, 1, 2.0), ValueError, "path-loss exponent must exceed 2, got 2.0"),
+            # a bare ValueError reading "path-loss exponent must exceed 2" before
+            # every input rule had one check
+            ((0.5, 1, 2.0), ConfigError, "alpha must exceed 2, got 2.0"),
         ],
         ids=["zero-antennas", "fractional-antennas", "alpha-2"],
     )
@@ -500,3 +502,72 @@ class TestUserRate:
             NetworkConfig(lambda_b=10.0, lambda_u=100.0, antennas=0)
         with pytest.raises(ConfigError):
             NetworkConfig(lambda_b=10.0, lambda_u=100.0, bandwidth_mhz=-1.0)
+
+
+class TestOneCheckPerRule:
+    """Each input rule has one check, so every entry point raises ConfigError with its text.
+
+    A bad exponent or threshold reached the coefficient layer's own checks,
+    which raised a bare ValueError reading "path-loss exponent must exceed 2".
+    """
+
+    ENTRY_POINTS = {
+        "outage_probability": lambda threshold, alpha: outage_probability(threshold, 0.5, 2, alpha),
+        "coeff_k": lambda threshold, alpha: coeff_k(1, threshold, alpha),
+        "coefficient_table": lambda threshold, alpha: coefficient_table(2, threshold, alpha),
+        "coefficient_table-list": lambda threshold, alpha: coefficient_table(2, [1.0, threshold], alpha),
+    }
+
+    @pytest.mark.parametrize("alpha, message", [
+        (2.0, "alpha must exceed 2, got 2.0"),
+        (-1.0, "alpha must exceed 2, got -1.0"),
+        (math.nan, "alpha must be finite, got nan"),
+        (math.inf, "alpha must be finite, got inf"),
+    ], ids=["2", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("entry", [*ENTRY_POINTS, "spectral_efficiency"])
+    def test_bad_alpha(self, entry, alpha, message):
+        with pytest.raises(ConfigError) as err:
+            if entry == "spectral_efficiency":
+                spectral_efficiency(0.5, 2, alpha)
+            else:
+                self.ENTRY_POINTS[entry](1.0, alpha)
+        assert str(err.value) == message
+        # NetworkConfig names the exponent in the same words
+        with pytest.raises(ConfigError) as err:
+            NetworkConfig(lambda_b=10.0, lambda_u=100.0, alpha=alpha)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("threshold, message", [
+        (0.0, "threshold must be positive, got 0.0"),
+        (-1.0, "threshold must be positive, got -1.0"),
+        (math.nan, "threshold must be finite, got nan"),
+        (math.inf, "threshold must be finite, got inf"),
+    ], ids=["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_threshold(self, entry, threshold, message):
+        with pytest.raises(ConfigError) as err:
+            self.ENTRY_POINTS[entry](threshold, 4.0)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("p_a", [0.0, -0.5, 1.5, math.nan])
+    def test_bad_activity_reads_alike(self, p_a):
+        with pytest.raises(ConfigError) as outage:
+            outage_probability(1.0, p_a, 1, 4.0)
+        with pytest.raises(ConfigError) as se:
+            spectral_efficiency(p_a, 1, 4.0)
+        assert str(outage.value) == str(se.value)
+        assert str(se.value).startswith(f"active probability must lie in (0, 1], got {p_a}")
+
+    def test_bad_order_and_size(self):
+        with pytest.raises(ConfigError, match="coefficient order"):
+            coeff_k(-1, 1.0, 4.0)
+        with pytest.raises(ConfigError, match="table size"):
+            coefficient_table(0, 1.0, 4.0)
+
+    def test_minus_zero_bandwidth_stored_unsigned(self):
+        cfg = NetworkConfig(lambda_b=10.0, lambda_u=100.0, bandwidth_mhz=-0.0)
+        assert math.copysign(1.0, cfg.bandwidth_mhz) == 1.0
+        assert math.copysign(1.0, user_rate(cfg)) == 1.0
+        assert math.copysign(1.0, cfg.with_(bandwidth_mhz=-0.0).bandwidth_mhz) == 1.0
+        # every other value keeps its type and value
+        assert NetworkConfig(lambda_b=10.0, lambda_u=100.0, bandwidth_mhz=20).bandwidth_mhz == 20

@@ -377,6 +377,10 @@ class TestNonFiniteConfig:
         with pytest.raises(ConfigError, match="expected_stations"):
             McConfig(network=net, window_radius=recommended_window(1e308), n_drops=2,
                      n_fading_per_drop=1, seed=0)
+        # a window whose square overflows a float raised OverflowError
+        with pytest.raises(ConfigError, match="expected_stations"):
+            McConfig(network=NetworkConfig(lambda_b=10.0, lambda_u=100.0), window_radius=1e200,
+                     n_drops=2, n_fading_per_drop=1, seed=0)
 
     def test_expected_user_count_overflow(self):
         net = NetworkConfig(lambda_b=1e8, lambda_u=1e308)
@@ -386,6 +390,11 @@ class TestNonFiniteConfig:
                      activity_model=ActivityModel.VORONOI_OCCUPANCY)
         # independent thinning draws no users, so the same numbers stand
         McConfig(network=net, window_radius=window, n_drops=2, n_fading_per_drop=1, seed=0)
+        # a window whose square overflows a float raised OverflowError; the
+        # station count, checked first, is then as infinite as the user count
+        with pytest.raises(ConfigError, match="expected_stations"):
+            McConfig(network=net, window_radius=1e200, n_drops=2, n_fading_per_drop=1, seed=0,
+                     activity_model=ActivityModel.VORONOI_OCCUPANCY)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["n_drops", "n_fading_per_drop", "seed"])
