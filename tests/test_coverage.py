@@ -458,6 +458,12 @@ class TestUserRate:
     def test_zero_bandwidth(self):
         cfg = NetworkConfig(bandwidth_mhz=0.0, **self.sparse)
         assert user_rate(cfg) == 0.0
+        # -0.0 was stored and gave a rate of -0.0
+        cfg = NetworkConfig(bandwidth_mhz=-0.0, **self.sparse)
+        assert math.copysign(1.0, cfg.bandwidth_mhz) == math.copysign(1.0, user_rate(cfg)) == 1.0
+        assert math.copysign(1.0, cfg.with_(bandwidth_mhz=-0.0).bandwidth_mhz) == 1.0
+        # any other bandwidth keeps its value and type
+        assert type(NetworkConfig(bandwidth_mhz=20, **self.sparse).bandwidth_mhz) is int
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.0, 8.0), w=st.floats(0.5, 200.0))
@@ -557,17 +563,3 @@ class TestOneCheckPerRule:
             spectral_efficiency(p_a, 1, 4.0)
         assert str(outage.value) == str(se.value)
         assert str(se.value).startswith(f"active probability must lie in (0, 1], got {p_a}")
-
-    def test_bad_order_and_size(self):
-        with pytest.raises(ConfigError, match="coefficient order"):
-            coeff_k(-1, 1.0, 4.0)
-        with pytest.raises(ConfigError, match="table size"):
-            coefficient_table(0, 1.0, 4.0)
-
-    def test_minus_zero_bandwidth_stored_unsigned(self):
-        cfg = NetworkConfig(lambda_b=10.0, lambda_u=100.0, bandwidth_mhz=-0.0)
-        assert math.copysign(1.0, cfg.bandwidth_mhz) == 1.0
-        assert math.copysign(1.0, user_rate(cfg)) == 1.0
-        assert math.copysign(1.0, cfg.with_(bandwidth_mhz=-0.0).bandwidth_mhz) == 1.0
-        # every other value keeps its type and value
-        assert NetworkConfig(lambda_b=10.0, lambda_u=100.0, bandwidth_mhz=20).bandwidth_mhz == 20

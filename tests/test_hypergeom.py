@@ -160,11 +160,12 @@ class TestCoeffK:
         assert coeff_k(0, t * (1.0 + step), 4.0) > coeff_k(0, t, 4.0)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        # each raised a bare ValueError before every bad input raised ConfigError
+        with pytest.raises(hypergeom.ConfigError):
             coeff_k(-1, 1.0, 4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(hypergeom.ConfigError):
             coeff_k(0, 0.0, 4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(hypergeom.ConfigError):
             coeff_k(0, 1.0, 2.0)
 
 
@@ -191,7 +192,7 @@ class TestCoefficientTable:
         assert t8[:3] == t3
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(hypergeom.ConfigError):
             coefficient_table(0, 1.0, 4.0)
 
 
