@@ -13,6 +13,11 @@ from trs_planner.coverage import ConfigError, NetworkConfig, outage_probability,
 from trs_planner.montecarlo import McConfig, activity_gap_report, recommended_window
 
 
+def signed(value):
+    """``value`` to five decimals with its sign; one that rounds to zero prints unsigned, never -0."""
+    return f"{value:+9.5f}" if round(value, 5) else f"{0.0:9.5f}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rho-values", default="0.1,1,10")
@@ -46,7 +51,7 @@ def main():
             )
         print(
             f"{rho:6.2f} {analytic:9.5f} {rep.thinning.mean:9.5f} "
-            f"{rep.voronoi.mean:9.5f} {rep.gap.mean:+9.5f} {3 * rep.gap.std_error:9.5f}"
+            f"{rep.voronoi.mean:9.5f} {signed(rep.gap.mean)} {3 * rep.gap.std_error:9.5f}"
         )
 
 

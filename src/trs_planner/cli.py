@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coverage, montecarlo, trs
 from .coverage import MAX_ANTENNAS, ConfigError, LoadModel, NetworkConfig, QuadratureError
-from .hypergeom import _check_antennas, _check_rate
+from .hypergeom import _check_count, _check_positive
 from .montecarlo import ActivityModel, McConfig
 
 EXIT_OK = 0
@@ -87,10 +87,9 @@ def _scenario(name: str, fields: dict) -> Scenario:
         if key not in fields:
             raise ConfigError(f"scenario {name!r} is missing {key}")
     target = fields["target_rate_mbps"]
-    _check_rate(target, name=f"scenario {name!r}: target_rate_mbps")
+    _check_positive(target, f"scenario {name!r}: target_rate_mbps")
     max_antennas = fields.get("max_antennas", MAX_ANTENNAS)
-    _check_antennas(max_antennas, message=f"scenario {name!r}: max_antennas must be >= 1 and "
-                    f"at most {MAX_ANTENNAS}, got {max_antennas}")
+    _check_count(max_antennas, f"scenario {name!r}: max_antennas", 1, MAX_ANTENNAS)
     load = fields.get("load_model", "mean-load")
     try:
         load_model = LoadModel(load)
@@ -284,13 +283,10 @@ def _parse_grid(raw: str):
 
 
 def _parse_counts(raw: str, flag: str, most: int) -> list[int]:
-    """A comma-separated list of whole numbers up to ``most``, such as antenna counts."""
+    """A comma-separated list of counts from 1 to ``most``, such as antenna counts."""
     values = _parse_grid(raw)
     for value in values:
-        if not value.is_integer():
-            raise ConfigError(f"{flag} takes whole numbers, got {value!r} in {raw!r}")
-        if value > most:
-            raise ConfigError(f"{flag} takes counts up to {most}, got {value!r} in {raw!r}")
+        _check_count(value, flag, 1, most)
     return [int(value) for value in values]
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .hypergeom import MAX_ANTENNAS, ConfigError, coefficient_table  # MAX_ANTENNAS is re-exported
-from .hypergeom import _check_activity, _check_alpha, _check_antennas, _check_threshold
+from .hypergeom import _check_activity, _check_alpha, _check_count, _check_positive
 
 LN2 = math.log(2.0)
 # Kronrod abscissae of QUADPACK's 21-point rule (dqk21), largest first; the
@@ -110,22 +110,13 @@ class NetworkConfig:
     load_model: LoadModel = LoadModel.MEAN_LOAD
 
     def __post_init__(self):
-        # the antenna count first: math.isfinite cannot take an int beyond a float
-        _check_antennas(self.antennas)
-        for name in ("lambda_b", "lambda_u", "bandwidth_mhz", "noise_power", "tx_power"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lambda_b <= 0.0:
-            raise ConfigError(f"lambda_b must be positive, got {self.lambda_b}")
-        if self.lambda_u <= 0.0:
-            raise ConfigError(f"lambda_u must be positive, got {self.lambda_u}")
-        if self.bandwidth_mhz < 0.0:
-            raise ConfigError(f"bandwidth_mhz must be >= 0, got {self.bandwidth_mhz}")
+        _check_count(self.antennas, "antennas", 1, MAX_ANTENNAS)
+        _check_positive(self.lambda_b, "lambda_b")
+        _check_positive(self.lambda_u, "lambda_u")
+        _check_positive(self.bandwidth_mhz, "bandwidth_mhz", allow_zero=True)
         _check_alpha(self.alpha)
-        if self.noise_power < 0.0:
-            raise ConfigError(f"noise_power must be >= 0, got {self.noise_power}")
-        if self.tx_power <= 0.0:
-            raise ConfigError(f"tx_power must be positive, got {self.tx_power}")
+        _check_positive(self.noise_power, "noise_power", allow_zero=True)
+        _check_positive(self.tx_power, "tx_power")
         if not isinstance(self.load_model, LoadModel):
             raise ConfigError(f"load_model must be a LoadModel, got {self.load_model!r}")
         object.__setattr__(self, "bandwidth_mhz", abs(self.bandwidth_mhz))  # -0.0 would print a sign
@@ -143,11 +134,18 @@ def active_probability(rho: float) -> float:
     """Probability that a station's Voronoi cell holds at least one user.
 
     Uses the gamma-distributed cell-area fit with shape 3.5; strictly
-    decreasing in the density ratio and -> 1 as rho -> 0.
+    decreasing in the density ratio and -> 1 as rho -> 0.  The formula
+    rounds to 0 from rho = 2**53 / 3.5 (about 2.6e15) on, where 1/(3.5 rho)
+    vanishes beside 1; such a ratio is rejected, not answered with p_a = 0.
     """
-    if rho <= 0.0:
-        raise ConfigError(f"density ratio must be positive, got {rho}")
-    return 1.0 - (1.0 + 1.0 / (3.5 * rho)) ** -3.5
+    _check_positive(rho, "density ratio lambda_b/lambda_u")
+    p_a = 1.0 - (1.0 + 1.0 / (3.5 * rho)) ** -3.5
+    if p_a <= 0.0:
+        raise ConfigError(
+            f"density ratio lambda_b/lambda_u must be below 2**53/3.5 (about 2.6e15) for a "
+            f"positive active probability, got {rho}"
+        )
+    return p_a
 
 
 @dataclass(frozen=True)
@@ -251,9 +249,9 @@ def outage_probability(threshold: float, p_a: float, antennas: int, alpha: float
 
     Non-increasing in the antenna count and non-decreasing in the threshold.
     """
-    _check_threshold(threshold)
+    _check_positive(threshold, "threshold")
     _check_activity(p_a)
-    _check_antennas(antennas)
+    _check_count(antennas, "antennas", 1, MAX_ANTENNAS)
     _check_alpha(alpha)
     return OutageResult(
         p_out=_p_outs([threshold], p_a, int(antennas), alpha)[0],
@@ -305,7 +303,7 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
     wrong prediction therefore costs time, never bits.
     """
     _check_activity(p_a)
-    _check_antennas(antennas)
+    _check_count(antennas, "antennas", 1, MAX_ANTENNAS)
     _check_alpha(alpha)
     m = int(antennas)
     pending = {}

@@ -46,14 +46,21 @@ extended on demand, for one threshold or for many in one :func:`_coeff_range`
 call, and stored as a new tuple in place of the old one; no lock is taken.
 :func:`coeff_k` computes its one row as a one-row job, uncached.
 
-Input rules: this leaf module also holds ``ConfigError`` and the one check of
-each input rule (threshold, exponent, activity, target rate, antenna count), so
-every layer up to the CLI rejects a bad value with the same error and text.
+Input rules: this leaf module also holds ``ConfigError`` and one check per
+input rule, so every layer up to the CLI rejects a bad value with the same
+error and text.  Two rules are general and take the quantity's name:
+:func:`_check_positive` (finite and positive, or non-negative; thresholds,
+densities, bandwidth, powers, rates, window sizes) and :func:`_check_count`
+(a whole number within bounds; antenna counts, sample counts, seeds,
+coefficient orders, table sizes, grid points).  Three are particular: the
+path-loss exponent (:func:`_check_alpha`), the active probability
+(:func:`_check_activity`) and, in :mod:`trs_planner.coverage`, zero noise.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +78,8 @@ _BATCH_CELLS = 1 << 16
 # padding cells a batched block may add to save a block of its own, about
 # the cells summed in a block's fixed numpy cost
 _PAD_CELLS = 1 << 10
+# the largest finite float; an int beyond it cannot be converted to one
+_FLOAT_MAX = sys.float_info.max
 
 
 # the term indices n and n + 1 of a block starting at 0, shared read-only
@@ -261,20 +270,31 @@ def _coeff_range(jobs, alpha: float) -> list[list[float]]:
     return values
 
 
-def _check_threshold(threshold: float) -> None:
-    """A linear SINR threshold: finite and positive."""
-    if not math.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
-    if threshold <= 0.0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+def _check_positive(value, name: str, allow_zero: bool = False) -> None:
+    """Finite and > 0, or >= 0 where ``allow_zero``; an int too large for a float is not finite."""
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if value < 0.0 or value == 0.0 and not allow_zero:
+        raise ConfigError(f"{name} must be {'>= 0' if allow_zero else 'positive'}, got {value}")
+
+
+def _check_count(value, name: str, least: int, most: int | None = None) -> None:
+    """A whole number (int or integral float) from ``least`` to ``most``; nan and inf fail.
+
+    The bounds are compared before anything converts ``value`` to a float, so
+    an int too large for one fails the cap, or passes where there is none.
+    """
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be at most {most}, got {value}")
+    if not value >= least or value % 1:  # `% 1` is nan, so truthy, for inf
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
 
 
 def _check_alpha(alpha: float) -> None:
     """A path-loss exponent: finite and above 2, where the interference sum converges."""
-    if not math.isfinite(alpha):
-        raise ConfigError(f"alpha must be finite, got {alpha}")
     if alpha <= 2.0:
         raise ConfigError(f"alpha must exceed 2, got {alpha}")
+    _check_positive(alpha, "alpha")
 
 
 def _check_activity(p_a: float) -> None:
@@ -284,22 +304,6 @@ def _check_activity(p_a: float) -> None:
         raise ConfigError(f"active probability must lie in (0, 1], got {p_a}{why}")
 
 
-def _check_rate(rate: float, name: str = "target rate", allow_zero: bool = False) -> None:
-    """A demand in Mbps: finite and positive, or zero too where ``allow_zero``."""
-    if not math.isfinite(rate):
-        raise ConfigError(f"{name} must be finite, got {rate}")
-    if rate < 0.0 or rate == 0.0 and not allow_zero:
-        raise ConfigError(f"{name} must be {'>= 0' if allow_zero else 'positive'}")
-
-
-def _check_antennas(antennas, name: str = "antennas", message: str | None = None) -> None:
-    """Whole count from 1 to the cap (inf fails the cap); ``message`` replaces either text."""
-    if antennas > MAX_ANTENNAS:
-        raise ConfigError(message or f"{name} must be at most {MAX_ANTENNAS}, got {antennas}")
-    if not antennas >= 1 or int(antennas) != antennas:
-        raise ConfigError(message or f"{name} must be an integer >= 1, got {antennas}")
-
-
 def coeff_k(i: int, threshold: float, alpha: float) -> float:
     """Interference-distribution coefficient k_i(T, alpha), non-negative.
 
@@ -307,9 +311,8 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     fill the lower-triangular Toeplitz system used for multi-antenna outage.
     Computed as the one-row :func:`_coeff_range`, bypassing the table memo.
     """
-    if i < 0 or int(i) != i:
-        raise ConfigError(f"coefficient order must be a non-negative integer, got {i}")
-    _check_threshold(threshold)
+    _check_count(i, "coefficient order", 0, MAX_ANTENNAS - 1)
+    _check_positive(threshold, "threshold")
     _check_alpha(alpha)
     return _coeff_range([(float(threshold), int(i), int(i) + 1)], float(alpha))[0][0]
 
@@ -335,13 +338,12 @@ def coefficient_table(size: int, threshold, alpha: float):
     :func:`_tables`), and every table that is missing or too short is
     extended in one :func:`_coeff_range` call.
     """
-    if size < 1:
-        raise ConfigError(f"table size must be >= 1, got {size}")
+    _check_count(size, "table size", 1, MAX_ANTENNAS)
     many = isinstance(threshold, (list, tuple))
     thresholds = threshold if many else (threshold,)
     for t in thresholds:
-        if not 0.0 < t < math.inf:
-            _check_threshold(t)
+        if not 0.0 < t <= _FLOAT_MAX:
+            _check_positive(t, "threshold")
     _check_alpha(alpha)
     alpha = float(alpha)
     store = _tables(alpha)

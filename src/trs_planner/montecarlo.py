@@ -46,7 +46,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .coverage import NetworkConfig, active_probability
-from .hypergeom import ConfigError, _check_threshold
+from .hypergeom import ConfigError, _check_count, _check_positive
 
 THREADS_ENV_VAR = "TRS_PLANNER_THREADS"
 _TRUNCATION_FRACTION = 1e-3
@@ -73,18 +73,10 @@ class McConfig:
     activity_model: ActivityModel = ActivityModel.INDEPENDENT_THINNING
 
     def __post_init__(self):
-        if not math.isfinite(self.window_radius):
-            raise ConfigError(f"window_radius must be finite, got {self.window_radius}")
-        if self.window_radius <= 0.0:
-            raise ConfigError(f"window_radius must be positive, got {self.window_radius}")
-        # a drop-level standard error needs two drops; `% 1` is nan, so truthy, for nan and inf
-        if not self.n_drops >= 2 or self.n_drops % 1:
-            raise ConfigError(f"n_drops must be an integer >= 2, got {self.n_drops}")
-        if not self.n_fading_per_drop >= 1 or self.n_fading_per_drop % 1:
-            raise ConfigError(f"n_fading_per_drop must be >= 1, got {self.n_fading_per_drop}")
-        if not self.seed >= 0 or self.seed % 1:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("n_drops", "n_fading_per_drop", "seed"):  # numpy sizes and ranges need ints
+        _check_positive(self.window_radius, "window_radius")
+        # a drop-level standard error needs two drops; numpy sizes and ranges need ints
+        for name, least in (("n_drops", 2), ("n_fading_per_drop", 1), ("seed", 0)):
+            _check_count(getattr(self, name), name, least)
             object.__setattr__(self, name, int(getattr(self, name)))
         try:
             expected_bs = self.expected_stations
@@ -118,6 +110,8 @@ class McConfig:
 
 def recommended_window(lambda_b: float, factor: float = 20.0) -> float:
     """Disc radius giving ``factor`` mean nearest-station distances of margin."""
+    _check_positive(lambda_b, "lambda_b")
+    _check_positive(factor, "window factor")
     return factor / math.sqrt(lambda_b)
 
 
@@ -145,8 +139,7 @@ def resolve_workers() -> int:
         workers = int(raw)
     except ValueError as err:
         raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from err
-    if workers < 0:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 0, got {workers}")
+    _check_count(workers, THREADS_ENV_VAR, 0)
     return workers or min(os.cpu_count() or 1, 8)
 
 
@@ -368,7 +361,7 @@ def _estimate_from_drop_values(values: np.ndarray, cfg: McConfig, annotations=()
 
 def outage_from_samples(samples: SinrSamples, threshold: float, cfg: McConfig) -> McEstimate:
     """Empirical P[SINR < threshold] from shared samples."""
-    _check_threshold(threshold)
+    _check_positive(threshold, "threshold")
     drop_means = (samples.sinr < threshold).mean(axis=1)
     return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
 
@@ -433,7 +426,7 @@ def activity_gap_report(cfg: McConfig, threshold: float) -> ActivityGapReport:
     activity substream is the only one consumed differently), so the paired
     per-drop differences isolate the activity correlation effect.
     """
-    _check_threshold(threshold)
+    _check_positive(threshold, "threshold")
     voronoi_cfg = replace(cfg, activity_model=ActivityModel.VORONOI_OCCUPANCY)
     thinning_cfg = replace(cfg, activity_model=ActivityModel.INDEPENDENT_THINNING)
     drops = _shared_drops(_SharedKey.of(voronoi_cfg))  # each drop carries its thinning twin

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergeom import MAX_ANTENNAS, ConfigError, _check_antennas, _check_rate
+from .hypergeom import _FLOAT_MAX, MAX_ANTENNAS, ConfigError, _check_count, _check_positive
 # spectral_efficiency is re-exported: perfbench/tracing.py wraps trs.spectral_efficiency
 from .coverage import LoadModel, NetworkConfig, spectral_efficiency, user_rate  # noqa: F401
 
@@ -54,7 +54,7 @@ class OperatingPoint:
     target_rate_mbps: float
 
     def __post_init__(self):
-        _check_rate(self.target_rate_mbps)
+        _check_positive(self.target_rate_mbps, "target rate")
 
 
 def make_operating_point(
@@ -87,7 +87,7 @@ def required_spectrum(
     load_model: LoadModel = LoadModel.MEAN_LOAD,
 ) -> float:
     """Bandwidth (MHz) meeting the target rate; exact since rate is linear in W."""
-    _check_rate(target_rate_mbps, allow_zero=True)
+    _check_positive(target_rate_mbps, "target rate", allow_zero=True)
     denom = _rate(lambda_b, 1.0, antennas, lambda_u, alpha, load_model)
     if denom <= 0.0 or not math.isfinite(denom):
         raise InfeasibleError(f"rate per MHz is degenerate ({denom}) at lambda_b={lambda_b}")
@@ -129,7 +129,7 @@ def required_density(
     saturates the rate grows only logarithmically with density, so demands
     can sit effectively out of reach.
     """
-    _check_rate(target_rate_mbps)
+    _check_positive(target_rate_mbps, "target rate")
 
     def rate(lam):
         return _rate(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
@@ -214,8 +214,8 @@ def required_antennas(
     per-antenna gains diminish, so demands can be unreachable at any sane
     array size.
     """
-    _check_rate(target_rate_mbps)
-    _check_antennas(max_antennas, name="max_antennas")
+    _check_positive(target_rate_mbps, "target rate")
+    _check_count(max_antennas, "max_antennas", 1, MAX_ANTENNAS)
 
     # tolerate float dust when the demand sits exactly on a solved point
     floor = target_rate_mbps * (1.0 - RATE_REL_TOL)
@@ -282,9 +282,7 @@ def indifference_curve(
         held = {"lambda_b": lambda_b, "alpha": alpha, "load_model": load_model.value}
 
         def lever(m):  # (lambda_b, antennas) at a grid value
-            _check_antennas(
-                m, message=f"antenna grid values must be integers from 1 to {MAX_ANTENNAS}, got {m}"
-            )
+            _check_count(m, "antenna grid value", 1, MAX_ANTENNAS)
             return lambda_b, int(m)
     elif pair == "w-density":
         if antennas is None:
@@ -292,8 +290,7 @@ def indifference_curve(
         held = {"antennas": antennas, "alpha": alpha, "load_model": load_model.value}
 
         def lever(lam):
-            if lam <= 0:
-                raise ConfigError(f"density grid values must be positive, got {lam}")
+            _check_positive(lam, "density grid value")
             return lam, antennas
     else:
         raise ConfigError(f"unknown curve pair {pair!r} (expected 'w-m' or 'w-density')")
@@ -315,10 +312,9 @@ def indifference_curve(
 
 def log_grid(lo: float, hi: float, points: int = 64):
     """Default curve grid: log-spaced, endpoints included."""
-    if not 0 < lo < hi < math.inf:
+    if not 0 < lo < hi <= _FLOAT_MAX:
         raise ConfigError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
-    if points < 1:
-        raise ConfigError(f"grid points must be >= 1, got {points}")
+    _check_count(points, "grid points", 1)
     return list(np.geomspace(lo, hi, points))
 
 
@@ -455,8 +451,7 @@ def doubling_scenario(
     raising, because rate saturation under densification and diminishing
     antenna gains are findings, not errors.
     """
-    if not math.isfinite(factor) or factor <= 0.0:
-        raise ConfigError(f"scale factor must be finite and positive, got {factor}")
+    _check_positive(factor, "scale factor")
     cfg = base.config
     if mode is ScaleMode.DOUBLE_RATE:
         target_rate = factor * base.target_rate_mbps

@@ -88,7 +88,9 @@ class TestScenarioFile:
                         f"x.target_rate_mbps = {target}\n")
         code, out, err = run(["rate", "--file", str(path)], capsys)
         assert code == 2 and out == ""
-        assert err == f"error: scenario 'x': {error}\n"
+        # the sign rule's message names the value too, as the finiteness rule's does
+        message = error if ", got " in error else f"{error}, got {float(target)}"
+        assert err == f"error: scenario 'x': {message}\n"
 
     @pytest.mark.parametrize("dropped", ["lambda_b", "lambda_u"])
     def test_missing_density_exit_2(self, capsys, tmp_path, dropped):
@@ -406,7 +408,7 @@ class TestScenarioCommand:
             capsys,
         )
         assert code == 2 and out == ""
-        assert "max_antennas must be >= 1" in err
+        assert f"scenario 'tiny': max_antennas must be an integer >= 1, got {cap}" in err
 
     def test_scenario_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.scenario"
@@ -450,10 +452,18 @@ class TestNonFiniteInput:
         assert out == ""
         assert f"error: {field} must be finite" in err
 
+    def test_density_ratio_beyond_the_activity_model_exit_2(self, capsys):
+        # p_a rounded to 0.0, and the error blamed an active probability the user never set
+        code, out, err = run(["rate", "--lambda-b", "1e30", "--lambda-u", "1", "--bandwidth-mhz", "1"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: density ratio lambda_b/lambda_u must be below")
+        assert err.endswith("got 1e+30\n")
+
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--window-factor", "nan"], "window_radius"),
+            (["--window-factor", "nan"], "window factor"),
             (["--lambda-u", "1e308"], "expected_stations"),
             (["--t-values", "nan"], "threshold"),
             # the window's square overflowed, an OverflowError with exit 3
@@ -651,7 +661,7 @@ class TestCountLists:
     def test_exit_2_naming_the_flag(self, capsys, argv, flag):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert f"error: {flag} takes whole numbers" in err
+        assert f"error: {flag} must be an integer >= 1, got " in err
 
     def test_whole_counts_keep_their_output(self, capsys):
         # stdout recorded before the counts were checked
@@ -678,11 +688,11 @@ class TestAntennaCap:
             (["rate", "--scenario", "sparse", "--antennas", "1" + "0" * 400],
              "error: antennas must be at most 1024, got 1" + "0" * 400),
             (["curve", "--scenario", "sparse", "--pair", "w-m", "--grid", "1e9"],
-             "error: antenna grid values must be integers from 1 to 1024"),
+             "error: antenna grid value must be at most 1024, got 1000000000.0"),
             (["trs", "--scenario", "sparse", "--pair", "w-m", "--at", "1024"],
-             "error: --at takes counts up to 1023"),
+             "error: --at must be at most 1023, got 1024.0"),
             (["validate", "--rho-values", "1", "--m-values", "1025", "--t-values", "1",
-              "--n-drops", "4", "--n-fading", "4"], "error: --m-values takes counts up to 1024"),
+              "--n-drops", "4", "--n-fading", "4"], "error: --m-values must be at most 1024, got 1025.0"),
         ],
         ids=["rate-antennas", "rate-antennas-beyond-float", "curve-grid", "trs-at",
              "validate-m-values"],
@@ -701,7 +711,7 @@ class TestAntennaCap:
             capsys,
         )
         assert code == 2 and out == ""
-        assert "max_antennas must be >= 1 and at most 1024, got 1025" in err
+        assert "scenario 'tiny': max_antennas must be at most 1024, got 1025" in err
 
 
 class TestSharedParser:

@@ -26,6 +26,9 @@ from trs_planner.coverage import (
 )
 from trs_planner.hypergeom import coeff_k, coefficient_table
 
+# an int too large for a float: math.isfinite and float() raise OverflowError on it
+BIG = 10**400
+
 
 def scalar_outage(threshold, p_a, alpha):
     """Single-antenna closed form: 1 - 1/(1 + p_a k0)."""
@@ -63,6 +66,26 @@ class TestActiveProbability:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             active_probability(0.0)
+
+    # nan returned nan, inf and 1e16 returned 0.0, so a rate exited 2 blaming an
+    # active probability the user never set
+    @pytest.mark.parametrize("rho, rule", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (BIG, "must be finite"),
+        (2.0**53 / 3.5, "must be below"), (1e16, "must be below"), (1e30, "must be below"),
+    ], ids=["nan", "inf", "beyond-float", "bound", "1e16", "1e30"])
+    def test_rejects_a_ratio_without_positive_activity(self, rho, rule):
+        with pytest.raises(ConfigError) as err:
+            active_probability(rho)
+        assert str(err.value).startswith(f"density ratio lambda_b/lambda_u {rule}")
+
+    @pytest.mark.parametrize("lambda_b", [1e16, 1e30])
+    def test_rate_names_the_ratio(self, lambda_b):
+        with pytest.raises(ConfigError, match="density ratio lambda_b/lambda_u must be below"):
+            user_rate(NetworkConfig(lambda_b=lambda_b, lambda_u=1.0, bandwidth_mhz=1.0))
+
+    def test_keeps_the_formula_below_the_bound(self):
+        for rho in (1e-3, 1.0, 1e8, 1e15, 2.5e15):
+            assert active_probability(rho) == 1.0 - (1.0 + 1.0 / (3.5 * rho)) ** -3.5 > 0.0
 
 
 # float.hex of outage_probability(T, p_a, M, alpha).p_out as computed when the
@@ -341,8 +364,10 @@ class TestSolutionReuse:
             # a bare ValueError reading "path-loss exponent must exceed 2" before
             # every input rule had one check
             ((0.5, 1, 2.0), ConfigError, "alpha must exceed 2, got 2.0"),
+            # an OverflowError from math.isfinite
+            ((0.5, 1, BIG), ConfigError, f"alpha must be finite, got {BIG}"),
         ],
-        ids=["zero-antennas", "fractional-antennas", "alpha-2"],
+        ids=["zero-antennas", "fractional-antennas", "alpha-2", "alpha-beyond-float"],
     )
     def test_bad_input_raises_as_before(self, monkeypatch, args, kind, message):
         # the type and message that came from inside the quadrature before the
@@ -529,7 +554,8 @@ class TestOneCheckPerRule:
         (-1.0, "alpha must exceed 2, got -1.0"),
         (math.nan, "alpha must be finite, got nan"),
         (math.inf, "alpha must be finite, got inf"),
-    ], ids=["2", "-1", "nan", "inf"])
+        (BIG, f"alpha must be finite, got {BIG}"),  # OverflowError
+    ], ids=["2", "-1", "nan", "inf", "beyond-float"])
     @pytest.mark.parametrize("entry", [*ENTRY_POINTS, "spectral_efficiency"])
     def test_bad_alpha(self, entry, alpha, message):
         with pytest.raises(ConfigError) as err:
@@ -548,7 +574,8 @@ class TestOneCheckPerRule:
         (-1.0, "threshold must be positive, got -1.0"),
         (math.nan, "threshold must be finite, got nan"),
         (math.inf, "threshold must be finite, got inf"),
-    ], ids=["0", "-1", "nan", "inf"])
+        (BIG, f"threshold must be finite, got {BIG}"),  # OverflowError
+    ], ids=["0", "-1", "nan", "inf", "beyond-float"])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_bad_threshold(self, entry, threshold, message):
         with pytest.raises(ConfigError) as err:
@@ -563,3 +590,11 @@ class TestOneCheckPerRule:
             spectral_efficiency(p_a, 1, 4.0)
         assert str(outage.value) == str(se.value)
         assert str(se.value).startswith(f"active probability must lie in (0, 1], got {p_a}")
+
+    @pytest.mark.parametrize("field", ["lambda_b", "lambda_u", "bandwidth_mhz", "noise_power", "tx_power"])
+    def test_network_quantity_beyond_a_float(self, field):
+        # each raised OverflowError from math.isfinite
+        fields = dict(lambda_b=10.0, lambda_u=100.0) | {field: BIG}
+        with pytest.raises(ConfigError) as err:
+            NetworkConfig(**fields)
+        assert str(err.value) == f"{field} must be finite, got {BIG}"

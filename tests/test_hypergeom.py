@@ -21,6 +21,8 @@ from trs_planner.hypergeom import (
 )
 
 mp.mp.dps = 40
+# an int too large for a float: math.isfinite and float() raise OverflowError on it
+BIG = 10**400
 
 # frozen from the extended-precision oracle below (60 dps run)
 K1_T1_A4 = 0.64269908169872415
@@ -168,6 +170,18 @@ class TestCoeffK:
         with pytest.raises(hypergeom.ConfigError):
             coeff_k(0, 1.0, 2.0)
 
+    # nan raised ValueError and inf OverflowError from int(); 1024 was computed
+    @pytest.mark.parametrize("order, message", [
+        (math.nan, "coefficient order must be an integer >= 0, got nan"),
+        (math.inf, "coefficient order must be at most 1023, got inf"),
+        (2.5, "coefficient order must be an integer >= 0, got 2.5"),
+        (hypergeom.MAX_ANTENNAS, "coefficient order must be at most 1023, got 1024"),
+    ], ids=["nan", "inf", "fraction", "cap"])
+    def test_order_is_a_count(self, order, message):
+        with pytest.raises(hypergeom.ConfigError) as err:
+            coeff_k(order, 1.0, 4.0)
+        assert str(err.value) == message
+
 
 class TestCoefficientTable:
     def test_single_entry_closed_form(self):
@@ -194,6 +208,19 @@ class TestCoefficientTable:
     def test_size_validation(self):
         with pytest.raises(hypergeom.ConfigError):
             coefficient_table(0, 1.0, 4.0)
+
+    # 2.5, nan and inf raised TypeError from range(); BIG ran until killed; 1025 was computed
+    @pytest.mark.parametrize("size, message", [
+        (2.5, "table size must be an integer >= 1, got 2.5"),
+        (math.nan, "table size must be an integer >= 1, got nan"),
+        (math.inf, "table size must be at most 1024, got inf"),
+        (BIG, f"table size must be at most 1024, got {BIG}"),
+        (hypergeom.MAX_ANTENNAS + 1, "table size must be at most 1024, got 1025"),
+    ], ids=["fraction", "nan", "inf", "beyond-float", "cap"])
+    def test_size_is_a_count(self, size, message):
+        with pytest.raises(hypergeom.ConfigError) as err:
+            coefficient_table(size, 1.0, 4.0)
+        assert str(err.value) == message
 
 
 # float.hex of coefficients as computed before the sized first block and the

@@ -26,6 +26,10 @@ from trs_planner.montecarlo import (
 )
 
 
+# an int too large for a float: math.isfinite and float() raise OverflowError on it
+BIG = 10**400
+
+
 def make_cfg(lambda_b=10.0, lambda_u=100.0, antennas=1, n_drops=200, n_fading=100,
              seed=42, window_factor=20.0, model=ActivityModel.INDEPENDENT_THINNING):
     net = NetworkConfig(lambda_b=lambda_b, lambda_u=lambda_u, antennas=antennas, alpha=4.0)
@@ -366,11 +370,24 @@ class TestFrozenBits:
 
 
 class TestNonFiniteConfig:
-    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, pytest.param(BIG, id="beyond-float")])
     def test_window_radius(self, radius):
         net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
         with pytest.raises(ConfigError, match="window_radius must be finite"):
             McConfig(network=net, window_radius=radius, n_drops=2, n_fading_per_drop=1, seed=0)
+
+    # ZeroDivisionError, "math domain error", nan, OverflowError and 0.0 before
+    @pytest.mark.parametrize("lambda_b, factor, message", [
+        (0, 20.0, "lambda_b must be positive, got 0"),
+        (-1, 20.0, "lambda_b must be positive, got -1"),
+        (10.0, math.nan, "window factor must be finite, got nan"),
+        (BIG, 20.0, f"lambda_b must be finite, got {BIG}"),
+        (10.0, 0.0, "window factor must be positive, got 0.0"),
+    ], ids=["zero-density", "negative-density", "nan-factor", "density-beyond-float", "zero-factor"])
+    def test_recommended_window(self, lambda_b, factor, message):
+        with pytest.raises(ConfigError) as err:
+            recommended_window(lambda_b, factor)
+        assert str(err.value) == message
 
     def test_expected_station_count_overflow(self):
         net = NetworkConfig(lambda_b=1e308, lambda_u=1e308)

@@ -91,3 +91,17 @@ def test_reproduce_tables_output(monkeypatch, capsys):
     assert len(got) == len(want) == 56
     for g, w in zip(got, want):
         assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), (g, w)
+
+
+def test_activity_gap_prints_no_signed_zero(monkeypatch, capsys):
+    # at rho = 1 the gap is -1.39e-18 and printed as -0.00000; a rounded zero prints unsigned
+    monkeypatch.setattr(sys, "argv", ["activity_gap.py", "--n-drops", "20", "--n-fading", "10"])
+    runpy.run_path(str(SCRIPTS / "activity_gap.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out == (
+        "   rho  analytic  thinning   voronoi       gap  3se(gap)\n"
+        "  0.10   0.43771   0.32500   0.32500   0.00000   0.00000\n"
+        "  1.00   0.31483   0.26000   0.26000   0.00000   0.04867\n"
+        " 10.00   0.06868   0.05500   0.04000  -0.01500   0.11776\n"
+    )
+    assert "-0.00000" not in out

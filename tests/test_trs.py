@@ -27,11 +27,22 @@ from trs_planner.trs import (
 
 SPARSE = dict(lambda_b=10.0, antennas=1, lambda_u=100.0)
 DENSE = dict(lambda_b=1000.0, antennas=1, lambda_u=100.0)
+# an int too large for a float: math.isfinite and float() raise OverflowError on it
+BIG = 10**400
 
 
 class TestRequiredSpectrum:
     def test_zero_rate(self):
         assert required_spectrum(0.0, **SPARSE) == 0.0
+
+    # OverflowError from math.isfinite
+    @pytest.mark.parametrize("field", ["target_rate_mbps", "lambda_b", "lambda_u"])
+    def test_quantity_beyond_a_float(self, field):
+        args = dict(target_rate_mbps=10.0, **SPARSE) | {field: BIG}
+        with pytest.raises(ConfigError) as err:
+            required_spectrum(**args)
+        name = "target rate" if field == "target_rate_mbps" else field
+        assert str(err.value) == f"{name} must be finite, got {BIG}"
 
     def test_linearity(self):
         w1 = required_spectrum(15.0, **SPARSE)
@@ -243,13 +254,15 @@ class TestIndifferenceCurve:
         with pytest.raises(ConfigError):
             indifference_curve(15.0, 100.0, "nope", [1.0], antennas=1)
 
-    @pytest.mark.parametrize("points", [0, -1])
+    # 2.5 and nan raised TypeError from numpy
+    @pytest.mark.parametrize("points", [0, -1, 2.5, math.nan])
     def test_log_grid_needs_a_point(self, points):
         with pytest.raises(ConfigError, match="points"):
             log_grid(1.0, 10.0, points)
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 10.0), (10.0, 1.0), (1.0, math.inf), (math.nan, 10.0), (1.0, math.nan), (-math.inf, 10.0),
+        pytest.param(1.0, BIG, id="1.0-beyond-float"),  # OverflowError from numpy
     ])
     def test_log_grid_needs_finite_ordered_bounds(self, lo, hi):
         with pytest.raises(ConfigError, match="grid bounds"):
