@@ -33,6 +33,10 @@ threshold: the k-coefficient rows are elementwise (see
 node alone would run, so each of the 21 values has the bits of a
 one-node call.  The 20 values not asked for yet wait, keyed by their exact
 abscissa, for the calls that follow; any other call is evaluated alone.
+
+Imports: :func:`mean_log2_sinr` imports ``scipy.integrate`` (which loads
+``scipy.optimize``) on its first integral, so outage probabilities and the
+Monte-Carlo simulator never load it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hypergeom import MAX_ANTENNAS, ConfigError, coefficient_table  # MAX_ANTENNAS is re-exported
 from .hypergeom import _check_activity, _check_alpha, _check_count, _check_positive
@@ -324,6 +327,8 @@ def mean_log2_sinr(p_a: float, antennas: int, alpha: float, abs_tol: float = 1e-
             pending.update(zip(nodes[1:], values[1:]))
             value = values[0]
         return value
+
+    from scipy.integrate import quad  # imported by the first integral, not at start-up
 
     result = quad(
         integrand, 0.0, 1.0, epsabs=abs_tol * LN2 * 0.25, epsrel=1e-10,

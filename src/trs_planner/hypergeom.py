@@ -270,10 +270,20 @@ def _coeff_range(jobs, alpha: float) -> list[list[float]]:
     return values
 
 
+def _shown(value) -> str:
+    """``value`` for an error message; an int too long for ``str`` is given by its digit count."""
+    try:
+        return str(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        digits = int(math.log10(abs(value))) + 1
+        digits -= abs(value) < 10 ** (digits - 1)  # log10 may round up near a power of 10
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def _check_positive(value, name: str, allow_zero: bool = False) -> None:
     """Finite and > 0, or >= 0 where ``allow_zero``; an int too large for a float is not finite."""
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ConfigError(f"{name} must be finite, got {value}")
+        raise ConfigError(f"{name} must be finite, got {_shown(value)}")
     if value < 0.0 or value == 0.0 and not allow_zero:
         raise ConfigError(f"{name} must be {'>= 0' if allow_zero else 'positive'}, got {value}")
 
@@ -285,15 +295,15 @@ def _check_count(value, name: str, least: int, most: int | None = None) -> None:
     an int too large for one fails the cap, or passes where there is none.
     """
     if most is not None and value > most:
-        raise ConfigError(f"{name} must be at most {most}, got {value}")
+        raise ConfigError(f"{name} must be at most {most}, got {_shown(value)}")
     if not value >= least or value % 1:  # `% 1` is nan, so truthy, for inf
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {_shown(value)}")
 
 
 def _check_alpha(alpha: float) -> None:
     """A path-loss exponent: finite and above 2, where the interference sum converges."""
     if alpha <= 2.0:
-        raise ConfigError(f"alpha must exceed 2, got {alpha}")
+        raise ConfigError(f"alpha must exceed 2, got {_shown(alpha)}")
     _check_positive(alpha, "alpha")
 
 
@@ -301,7 +311,7 @@ def _check_activity(p_a: float) -> None:
     """An active probability in (0, 1]."""
     if not 0.0 < p_a <= 1.0:
         why = " (an interference-free network has unbounded spectral efficiency)" if p_a <= 0 else ""
-        raise ConfigError(f"active probability must lie in (0, 1], got {p_a}{why}")
+        raise ConfigError(f"active probability must lie in (0, 1], got {_shown(p_a)}{why}")
 
 
 def coeff_k(i: int, threshold: float, alpha: float) -> float:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -74,9 +75,12 @@ class McConfig:
 
     def __post_init__(self):
         _check_positive(self.window_radius, "window_radius")
-        # a drop-level standard error needs two drops; numpy sizes and ranges need ints
-        for name, least in (("n_drops", 2), ("n_fading_per_drop", 1), ("seed", 0)):
-            _check_count(getattr(self, name), name, least)
+        # a drop-level standard error needs two drops; numpy sizes and ranges need ints,
+        # and sample counts no larger than numpy's largest dimension
+        for name, least, most in (
+            ("n_drops", 2, sys.maxsize), ("n_fading_per_drop", 1, sys.maxsize), ("seed", 0, None),
+        ):
+            _check_count(getattr(self, name), name, least, most)
             object.__setattr__(self, name, int(getattr(self, name)))
         try:
             expected_bs = self.expected_stations

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergeom import _FLOAT_MAX, MAX_ANTENNAS, ConfigError, _check_count, _check_positive
+from .hypergeom import _FLOAT_MAX, MAX_ANTENNAS, ConfigError, _check_count, _check_positive, _shown
 # spectral_efficiency is re-exported: perfbench/tracing.py wraps trs.spectral_efficiency
 from .coverage import LoadModel, NetworkConfig, spectral_efficiency, user_rate  # noqa: F401
 
@@ -313,8 +314,10 @@ def indifference_curve(
 def log_grid(lo: float, hi: float, points: int = 64):
     """Default curve grid: log-spaced, endpoints included."""
     if not 0 < lo < hi <= _FLOAT_MAX:
-        raise ConfigError(f"grid bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
-    _check_count(points, "grid points", 1)
+        raise ConfigError(
+            f"grid bounds must satisfy 0 < lo < hi < inf, got ({_shown(lo)}, {_shown(hi)})"
+        )
+    _check_count(points, "grid points", 1, sys.maxsize)  # numpy's largest dimension
     return list(np.geomspace(lo, hi, points))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trs_planner import cli
+from trs_planner import cli, coverage
 from trs_planner.coverage import ConfigError, QuadratureError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +187,29 @@ class TestRate:
         assert code == 3 and out == ""
         assert "numeric failure: spectral-efficiency quadrature" in err
         assert "division by zero" not in err
+
+
+class TestFlagsBeforeSolve:
+    """A bad flag over a scenario exits 2 before the scenario's bandwidth is solved."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["rate", "--scenario", "dense", "--antennas", "0"],
+             "error: antennas must be an integer >= 1, got 0"),
+            (["rate", "--scenario", "sparse", "--alpha", "2"], "error: alpha must exceed 2, got 2.0"),
+            (["curve", "--scenario", "dense", "--pair", "w-density", "--antennas", "0"],
+             "error: antennas must be an integer >= 1, got 0"),
+        ],
+        ids=["rate-antennas", "rate-alpha", "curve-antennas"],
+    )
+    def test_exit_2_with_no_integral(self, capsys, argv, named):
+        # each ran one spectral-efficiency integral, the auto bandwidth, before the check
+        coverage.mean_log2_sinr.cache_clear()
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert named in err
+        assert coverage.mean_log2_sinr.cache_info().misses == 0
 
 
 class TestCurve:

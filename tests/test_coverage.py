@@ -28,6 +28,8 @@ from trs_planner.hypergeom import coeff_k, coefficient_table
 
 # an int too large for a float: math.isfinite and float() raise OverflowError on it
 BIG = 10**400
+# an int too long for str(), which prints at most 4,300 digits by default
+HUGE = 10**5000
 
 
 def scalar_outage(threshold, p_a, alpha):
@@ -400,14 +402,14 @@ FROZEN_SE_OTHER_ALPHA = {
 def counted_quadrature(monkeypatch):
     """Per SE integral: quad's own node count, integrand calls and batch sizes."""
     record = {"neval": 0, "calls": 0, "batches": []}
-    quadrature, p_outs = coverage.quad, coverage._p_outs
+    p_outs = coverage._p_outs
 
     def counted_quad(f, *args, **kwargs):
         def g(u):
             record["calls"] += 1
             return f(u)
 
-        result = quadrature(g, *args, **kwargs)
+        result = quad(g, *args, **kwargs)
         record["neval"] += result[2]["neval"]
         return result
 
@@ -415,7 +417,8 @@ def counted_quadrature(monkeypatch):
         record["batches"].append(len(thresholds))
         return p_outs(thresholds, *args)
 
-    monkeypatch.setattr(coverage, "quad", counted_quad)
+    # mean_log2_sinr imports quad when it runs, so it reads the patched attribute
+    monkeypatch.setattr("scipy.integrate.quad", counted_quad)
     monkeypatch.setattr(coverage, "_p_outs", counted_p_outs)
     return record
 
@@ -598,3 +601,21 @@ class TestOneCheckPerRule:
         with pytest.raises(ConfigError) as err:
             NetworkConfig(**fields)
         assert str(err.value) == f"{field} must be finite, got {BIG}"
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(lambda_b=HUGE), "lambda_b must be finite, got an integer of 5001 digits"),
+        (dict(lambda_u=-HUGE), "lambda_u must be finite, got a negative integer of 5001 digits"),
+        (dict(antennas=HUGE), "antennas must be at most 1024, got an integer of 5001 digits"),
+        (dict(antennas=-HUGE), "antennas must be an integer >= 1, got a negative integer of 5001 digits"),
+        (dict(alpha=-HUGE), "alpha must exceed 2, got a negative integer of 5001 digits"),
+    ], ids=["lambda_b", "negative-lambda_u", "antennas", "negative-antennas", "negative-alpha"])
+    def test_quantity_too_long_to_print(self, fields, message):
+        # str() refuses an int of more than 4,300 digits, so the message raised ValueError
+        with pytest.raises(ConfigError) as err:
+            NetworkConfig(**dict(lambda_b=10.0, lambda_u=100.0) | fields)
+        assert str(err.value) == message
+
+    def test_activity_too_long_to_print(self):
+        with pytest.raises(ConfigError) as err:
+            outage_probability(1.0, HUGE, 1, 4.0)
+        assert str(err.value) == "active probability must lie in (0, 1], got an integer of 5001 digits"

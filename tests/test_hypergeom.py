@@ -182,6 +182,14 @@ class TestCoeffK:
             coeff_k(order, 1.0, 4.0)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("order, digits", [(10**5000, 5001), (10**5000 - 1, 5000)],
+                             ids=["10**5000", "10**5000-1"])
+    def test_order_too_long_to_print(self, order, digits):
+        # str() refuses an int of more than 4,300 digits, so the message raised ValueError
+        with pytest.raises(hypergeom.ConfigError) as err:
+            coeff_k(order, 1.0, 4.0)
+        assert str(err.value) == f"coefficient order must be at most 1023, got an integer of {digits} digits"
+
 
 class TestCoefficientTable:
     def test_single_entry_closed_form(self):

@@ -1,6 +1,7 @@
 """Planner tests: rate inversion, curves, TRS values, doubling scenarios."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +268,20 @@ class TestIndifferenceCurve:
     def test_log_grid_needs_finite_ordered_bounds(self, lo, hi):
         with pytest.raises(ConfigError, match="grid bounds"):
             log_grid(lo, hi, 3)
+
+    # numpy's largest dimension; 10**400 ended in OverflowError from numpy
+    @pytest.mark.parametrize("points", [sys.maxsize + 1, BIG], ids=["maxsize+1", "beyond-float"])
+    def test_log_grid_points_within_numpy(self, points):
+        with pytest.raises(ConfigError) as err:
+            log_grid(1.0, 2.0, points)
+        assert str(err.value) == f"grid points must be at most {sys.maxsize}, got {points}"
+
+    def test_log_grid_bound_too_long_to_print(self):
+        with pytest.raises(ConfigError) as err:
+            log_grid(-10**5000, 2.0, 3)
+        assert str(err.value) == (
+            "grid bounds must satisfy 0 < lo < hi < inf, got (a negative integer of 5001 digits, 2.0)"
+        )
 
 
 class TestTrsValues:
