@@ -240,9 +240,11 @@ def _config_from_args(args) -> tuple[NetworkConfig, float | None]:
         cfg = NetworkConfig(lambda_b=args.lambda_b, lambda_u=args.lambda_u, **overrides)
         return cfg, args.target_rate_mbps
     scenario = _scenario_from_args(args)
-    scenario.network.with_(**overrides)  # a bad flag exits 2 before the bandwidth solve
+    cfg = scenario.network.with_(**overrides)  # a bad flag exits 2 before the bandwidth solve
+    if "bandwidth_mhz" not in overrides:  # an overridden bandwidth needs no solve
+        cfg = scenario.operating_point().config.with_(**overrides)
     rate = scenario.target_rate_mbps if args.target_rate_mbps is None else args.target_rate_mbps
-    return scenario.operating_point().config.with_(**overrides), rate
+    return cfg, rate
 
 
 def cmd_rate(args) -> int:

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hypergeom import MAX_ANTENNAS, ConfigError, coefficient_table  # MAX_ANTENNAS is re-exported
-from .hypergeom import _check_activity, _check_alpha, _check_count, _check_positive
+from .hypergeom import _check_activity, _check_alpha, _check_count, _check_positive, _shown
 
 LN2 = math.log(2.0)
 # Kronrod abscissae of QUADPACK's 21-point rule (dqk21), largest first; the
@@ -121,7 +121,7 @@ class NetworkConfig:
         _check_positive(self.noise_power, "noise_power", allow_zero=True)
         _check_positive(self.tx_power, "tx_power")
         if not isinstance(self.load_model, LoadModel):
-            raise ConfigError(f"load_model must be a LoadModel, got {self.load_model!r}")
+            raise ConfigError(f"load_model must be a LoadModel, got {_shown(self.load_model, repr)}")
         object.__setattr__(self, "bandwidth_mhz", abs(self.bandwidth_mhz))  # -0.0 would print a sign
 
     @property

@@ -270,10 +270,10 @@ def _coeff_range(jobs, alpha: float) -> list[list[float]]:
     return values
 
 
-def _shown(value) -> str:
-    """``value`` for an error message; an int too long for ``str`` is given by its digit count."""
+def _shown(value, text=str) -> str:
+    """``text(value)`` for an error message; an int too long for it is given by its digit count."""
     try:
-        return str(value)
+        return text(value)
     except ValueError:  # beyond sys.get_int_max_str_digits()
         digits = int(math.log10(abs(value))) + 1
         digits -= abs(value) < 10 ** (digits - 1)  # log10 may round up near a power of 10

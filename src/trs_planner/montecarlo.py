@@ -160,13 +160,9 @@ def _drop_streams(seed: int, drop: int):
 
 @dataclass
 class SinrSamples:
-    """Raw per-drop SINR realizations plus bookkeeping for diagnostics."""
+    """SINR realizations and the window-truncation and non-finite notes on them."""
 
-    sinr: np.ndarray  # (n_drops, n_fading_per_drop)
-    desired_gain: np.ndarray  # same shape
-    mean_interference: np.ndarray  # (n_drops,)
-    n_active: np.ndarray  # (n_drops,)
-    p_a_used: float
+    sinr: np.ndarray  # (n_drops, n_fading_per_drop); NaN rows for empty windows
     annotations: tuple[str, ...]
 
 
@@ -215,12 +211,14 @@ def _stations(cfg: McConfig, geom, act):
 def _drop_interference(cfg: McConfig, drop: int) -> dict:
     """The part of a drop every antenna count shares, keyed by activity model.
 
-    Each value holds the serving distance, the interference per fading sample
-    and its mean, the active interferer count, the fade stream's state after
-    the interference draw and the occupied fraction of interior stations (NaN
-    under thinning or with none), or is None for an empty window.  A Voronoi
-    drop also carries its thinning twin: the drop a thinning config computes,
-    whose activity comes from a fresh activity stream.
+    Each value is None for an empty window, or the tuple ``(r_serving,
+    interference, mean, state, fraction)``: the serving distance, the
+    read-only interference per fading sample and its mean (for the
+    window-truncation note), the fade stream's state after the interference
+    draw (the desired gains are drawn from it) and the occupied fraction of
+    interior stations (NaN under thinning or with none).
+    A Voronoi drop also carries its thinning twin: the drop a thinning config
+    computes, whose activity comes from a fresh activity stream.
     """
     net = cfg.network
     thinning = ActivityModel.INDEPENDENT_THINNING
@@ -248,15 +246,15 @@ def _drop_interference(cfg: McConfig, drop: int) -> dict:
     h = fade.exponential(1.0, size=(n_fad, others.size)) if others.size else np.zeros((n_fad, 0))
     state = fade.bit_generator.state
 
-    def summary(weights, mask, fraction):
+    def summary(weights, fraction):
         interference = h @ weights if others.size else np.zeros(n_fad)
         interference.flags.writeable = False  # the memo hands it to every run it serves
-        return r[serving], interference, float(interference.mean()), int(mask.sum()), state, fraction
+        return r[serving], interference, float(interference.mean()), state, fraction
 
-    drops = {cfg.activity_model: summary(weights, active_mask, fraction)}
+    drops = {cfg.activity_model: summary(weights, fraction)}
     if occupied is not None:
         twin_mask = _drop_streams(cfg.seed, drop)[1].random(others.size) < p_a
-        drops[thinning] = summary(net.tx_power * r[others] ** (-net.alpha) * twin_mask, twin_mask, math.nan)
+        drops[thinning] = summary(net.tx_power * r[others] ** (-net.alpha) * twin_mask, math.nan)
     return drops
 
 
@@ -304,11 +302,10 @@ def _samples(cfg: McConfig, drops: list) -> SinrSamples:
     interference = np.full_like(gain, np.nan)
     path_gain = np.full(len(drops), np.nan)
     mean_i = np.full(len(drops), np.nan)
-    n_active = np.zeros(len(drops), dtype=np.int64)
     for d, shared in enumerate(drop[cfg.activity_model] for drop in drops):
         if shared is None:
             continue
-        r_serving, interference[d], mean_i[d], n_active[d], state, _ = shared
+        r_serving, interference[d], mean_i[d], state, _ = shared
         fade.bit_generator.state = state
         gain[d] = fade.exponential(1.0, size=(int(net.antennas), n_fad)).sum(axis=0)
         # a scalar power: numpy's array power differs from it in the last bit of some elements
@@ -319,10 +316,9 @@ def _samples(cfg: McConfig, drops: list) -> SinrSamples:
     sinr = np.where(silent, np.inf, net.tx_power * gain * path_gain[:, None] / np.where(silent, 1.0, denom))
 
     annotations = []
-    p_a = active_probability(net.rho)
     if net.alpha > 2.0:
         truncated = (
-            2.0 * math.pi * p_a * net.lambda_b * net.tx_power
+            2.0 * math.pi * active_probability(net.rho) * net.lambda_b * net.tx_power
             * cfg.window_radius ** (2.0 - net.alpha) / (net.alpha - 2.0)
         )
         finite_mean = np.nanmean(mean_i) if np.isfinite(mean_i).any() else 0.0
@@ -337,14 +333,7 @@ def _samples(cfg: McConfig, drops: list) -> SinrSamples:
             "some drops produced non-finite SINR (empty window or no active "
             "interferer with zero noise)"
         )
-    return SinrSamples(
-        sinr=sinr,
-        desired_gain=gain,
-        mean_interference=mean_i,
-        n_active=n_active,
-        p_a_used=p_a,
-        annotations=tuple(annotations),
-    )
+    return SinrSamples(sinr=sinr, annotations=tuple(annotations))
 
 
 def _estimate_from_drop_values(values: np.ndarray, cfg: McConfig, annotations=()) -> McEstimate:
@@ -375,14 +364,11 @@ def simulate_outage(cfg: McConfig, threshold: float) -> McEstimate:
     return outage_from_samples(sinr_samples(cfg), threshold, cfg)
 
 
-def spectral_efficiency_from_samples(samples: SinrSamples, cfg: McConfig) -> McEstimate:
+def simulate_spectral_efficiency(cfg: McConfig) -> McEstimate:
     """Empirical mean of log2(1 + SINR) in bits/s/Hz."""
+    samples = sinr_samples(cfg)
     drop_means = np.log2(1.0 + samples.sinr).mean(axis=1)
     return _estimate_from_drop_values(drop_means, cfg, samples.annotations)
-
-
-def simulate_spectral_efficiency(cfg: McConfig) -> McEstimate:
-    return spectral_efficiency_from_samples(sinr_samples(cfg), cfg)
 
 
 def simulate_active_probability(cfg: McConfig) -> McEstimate:

@@ -294,7 +294,7 @@ def indifference_curve(
             _check_positive(lam, "density grid value")
             return lam, antennas
     else:
-        raise ConfigError(f"unknown curve pair {pair!r} (expected 'w-m' or 'w-density')")
+        raise ConfigError(f"unknown curve pair {_shown(pair, repr)} (expected 'w-m' or 'w-density')")
     samples = []
     for value in grid:
         try:
@@ -408,7 +408,7 @@ def trs_spectrum_density(
             magnitude, note = drate_dspectrum / drate_ddensity, ""
         step = f"implicit-ratio central-diff rel={CENTRAL_REL_STEP:g}"
     else:
-        raise ConfigError(f"unknown TRS step policy {policy!r}")
+        raise ConfigError(f"unknown TRS step policy {_shown(policy, repr)}")
     return TrsValue(
         pair="spectrum-density",
         magnitude=magnitude,

@@ -211,6 +211,20 @@ class TestFlagsBeforeSolve:
         assert named in err
         assert coverage.mean_log2_sinr.cache_info().misses == 0
 
+    def test_bandwidth_override_skips_the_solve(self, capsys):
+        # the scenario's auto bandwidth was solved, at M = 1, and then replaced by the flag's
+        coverage.mean_log2_sinr.cache_clear()
+        code, out, _ = run(
+            ["rate", "--scenario", "dense", "--antennas", "2", "--bandwidth-mhz", "20",
+             "--output", "human"],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            "rate 143.756 Mbps  (W=20 MHz x SE=7.65531 b/s/Hz x share=0.938932; p_a=0.0938932)\n"
+        )
+        assert coverage.mean_log2_sinr.cache_info().misses == 1
+
 
 class TestCurve:
     def test_csv_shape_and_roundtrip(self, capsys):

@@ -608,12 +608,19 @@ class TestOneCheckPerRule:
         (dict(antennas=HUGE), "antennas must be at most 1024, got an integer of 5001 digits"),
         (dict(antennas=-HUGE), "antennas must be an integer >= 1, got a negative integer of 5001 digits"),
         (dict(alpha=-HUGE), "alpha must exceed 2, got a negative integer of 5001 digits"),
-    ], ids=["lambda_b", "negative-lambda_u", "antennas", "negative-antennas", "negative-alpha"])
+        (dict(load_model=HUGE), "load_model must be a LoadModel, got an integer of 5001 digits"),
+    ], ids=["lambda_b", "negative-lambda_u", "antennas", "negative-antennas", "negative-alpha",
+            "load_model"])
     def test_quantity_too_long_to_print(self, fields, message):
-        # str() refuses an int of more than 4,300 digits, so the message raised ValueError
+        # str() and repr() refuse an int of more than 4,300 digits, so the message raised ValueError
         with pytest.raises(ConfigError) as err:
             NetworkConfig(**dict(lambda_b=10.0, lambda_u=100.0) | fields)
         assert str(err.value) == message
+
+    def test_load_model_shown_by_repr(self):
+        with pytest.raises(ConfigError) as err:
+            NetworkConfig(1.0, 1.0, load_model="mean-load")
+        assert str(err.value) == "load_model must be a LoadModel, got 'mean-load'"
 
     def test_activity_too_long_to_print(self):
         with pytest.raises(ConfigError) as err:

@@ -329,8 +329,19 @@ class TestTrsValues:
         assert v2.step_policy == "forward-unit-step dM=1"
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown TRS step policy 'secant-of-doom'$"):
             trs_spectrum_density(15.0, 10.0, 1, 100.0, policy="secant-of-doom")
+
+    def test_names_too_long_to_print(self):
+        # repr() refuses an int of more than 4,300 digits, so each message raised ValueError
+        with pytest.raises(ConfigError) as err:
+            trs_spectrum_density(15.0, 10.0, 1, 100.0, policy=10**5000)
+        assert str(err.value) == "unknown TRS step policy an integer of 5001 digits"
+        with pytest.raises(ConfigError) as err:
+            indifference_curve(15.0, 100.0, -10**5000, [1.0], lambda_b=10.0)
+        assert str(err.value) == (
+            "unknown curve pair a negative integer of 5001 digits (expected 'w-m' or 'w-density')"
+        )
 
     def test_infinite_value_representation(self):
         v = TrsValue(
