@@ -30,6 +30,15 @@ drop also carries its thinning twin (same streams, one more matrix-vector
 product), so ``activity_gap_report`` reads both models from one entry, and
 ``simulate_active_probability`` reads its occupied fractions from that entry
 too; a cold call of the latter also draws the fading and the twin.
+
+Fading blocks: a drop draws its interference fading ``_FADE_ROWS`` (16)
+rows at a time and reduces each block against its weight vectors at once,
+so no full (fading x interferers) matrix is held.  The blocks keep the bits
+of one full draw and one matrix-vector product: the fade stream fills rows
+in order, so it yields the same values and leaves the same saved state; and
+OpenBLAS's ``dgemv_t`` kernel sums rows in groups of 4, which a 16-row
+boundary never splits.  A lone last row joins the block before it, since
+numpy would reduce a one-row block as a dot product, whose sum differs.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import pairwise
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -55,6 +65,8 @@ _TRUNCATION_FRACTION = 1e-3
 # 1024 and 4096 ran alike where the scan stops early, and 16384 took 40%
 # longer; 4096 makes fewer queries where the scan reads every user.
 _USER_CHUNK = 4096
+# Fading rows drawn and reduced per step of a drop's interference (module notes: fading blocks).
+_FADE_ROWS = 16
 
 
 class ActivityModel(enum.Enum):
@@ -242,19 +254,25 @@ def _drop_interference(cfg: McConfig, drop: int) -> dict:
     # the antenna count share interference samples and couple the desired
     # gain monotonically.
     n_fad = cfg.n_fading_per_drop
-    weights = net.tx_power * r[others] ** (-net.alpha) * active_mask
-    h = fade.exponential(1.0, size=(n_fad, others.size)) if others.size else np.zeros((n_fad, 0))
+    gains = net.tx_power * r[others] ** (-net.alpha)
+    weights = {cfg.activity_model: gains * active_mask}
+    if occupied is not None:
+        weights[thinning] = gains * (_drop_streams(cfg.seed, drop)[1].random(others.size) < p_a)
+    interference = {model: np.zeros(n_fad) for model in weights}
+    if others.size:
+        # a lone last row joins the block before it (module notes: fading blocks)
+        stops = [0, *range(_FADE_ROWS, n_fad - 1, _FADE_ROWS), n_fad]
+        for lo, hi in pairwise(stops):
+            block = fade.exponential(1.0, size=(hi - lo, others.size))
+            for model, w in weights.items():
+                interference[model][lo:hi] = block @ w
     state = fade.bit_generator.state
 
-    def summary(weights, fraction):
-        interference = h @ weights if others.size else np.zeros(n_fad)
-        interference.flags.writeable = False  # the memo hands it to every run it serves
-        return r[serving], interference, float(interference.mean()), state, fraction
-
-    drops = {cfg.activity_model: summary(weights, fraction)}
-    if occupied is not None:
-        twin_mask = _drop_streams(cfg.seed, drop)[1].random(others.size) < p_a
-        drops[thinning] = summary(net.tx_power * r[others] ** (-net.alpha) * twin_mask, math.nan)
+    drops = {}
+    for model, values in interference.items():
+        values.flags.writeable = False  # the memo hands it to every run it serves
+        drops[model] = (r[serving], values, float(values.mean()), state,
+                        fraction if model is cfg.activity_model else math.nan)
     return drops
 
 
@@ -310,10 +328,17 @@ def _samples(cfg: McConfig, drops: list) -> SinrSamples:
         gain[d] = fade.exponential(1.0, size=(int(net.antennas), n_fad)).sum(axis=0)
         # a scalar power: numpy's array power differs from it in the last bit of some elements
         path_gain[d] = r_serving ** (-net.alpha)
-    # denom is never negative, and NaN in an empty drop's row, which stays NaN
-    denom = interference + net.noise_power
-    silent = denom == 0.0
-    sinr = np.where(silent, np.inf, net.tx_power * gain * path_gain[:, None] / np.where(silent, 1.0, denom))
+    # tx_power * gain * path_gain / (interference + noise), in that order, formed in
+    # place.  The denominator is never negative, and NaN in an empty drop's row,
+    # which stays NaN; a silent (zero) one gives inf.
+    interference += net.noise_power
+    silent = interference == 0.0
+    interference[silent] = 1.0
+    gain *= net.tx_power
+    gain *= path_gain[:, None]
+    gain /= interference
+    gain[silent] = np.inf
+    sinr = gain
 
     annotations = []
     if net.alpha > 2.0:

@@ -389,14 +389,24 @@ def trs_spectrum_density(
     "unit-step" differences the curve with one extra station per unit area
     (the table-matching default); "central-derivative" evaluates the
     implicit-function ratio (dR/dW)/(dR/dlambda_b) with dR/dW = R/W exact
-    and the density derivative by central difference.
+    and the density derivative by central difference.  A unit step needs
+    lambda_b below 2**53, where floats stop holding every integer.
     """
+    if policy not in ("unit-step", "central-derivative"):
+        raise ConfigError(f"unknown TRS step policy {_shown(policy, repr)}")
+    if policy == "unit-step":
+        _check_positive(lambda_b, "lambda_b")
+        if lambda_b >= 2.0**53:
+            raise ConfigError(
+                f"lambda_b {lambda_b:g} is too large for a unit step (lambda_b + 1 rounds to an "
+                "even float from 2**53 on); use --step-policy central-derivative"
+            )
     w0 = required_spectrum(target_rate_mbps, lambda_b, antennas, lambda_u, alpha, load_model)
     if policy == "unit-step":
         w1 = required_spectrum(target_rate_mbps, lambda_b + 1.0, antennas, lambda_u, alpha, load_model)
         magnitude, note = _per_mhz_saved(w0, w1, "densifying saves no spectrum here")
         step = "forward-unit-step dlambda_b=1"
-    elif policy == "central-derivative":
+    else:
         h = CENTRAL_REL_STEP * lambda_b
         up = _rate(lambda_b + h, w0, antennas, lambda_u, alpha, load_model)
         dn = _rate(lambda_b - h, w0, antennas, lambda_u, alpha, load_model)
@@ -407,8 +417,6 @@ def trs_spectrum_density(
         else:
             magnitude, note = drate_dspectrum / drate_ddensity, ""
         step = f"implicit-ratio central-diff rel={CENTRAL_REL_STEP:g}"
-    else:
-        raise ConfigError(f"unknown TRS step policy {_shown(policy, repr)}")
     return TrsValue(
         pair="spectrum-density",
         magnitude=magnitude,

@@ -336,6 +336,35 @@ class TestTrsCommand:
         )
         assert ",inf," in text.splitlines()[1]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambda-b", "1e16"], ["--lambda-b", "1e15", "--at", "1e15,1e16"]],
+        ids=["lambda-b", "at-list"],
+    )
+    def test_unit_step_beyond_exact_density_exit_2(self, capsys, flags):
+        # lambda_b + 1 == lambda_b: a unit step would step nowhere and print "magnitude": "inf"
+        code, out, err = run(
+            ["trs", *flags, "--lambda-u", "1e15", "--pair", "w-density", "--target-rate-mbps", "10",
+             "--output", "json"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: lambda_b 1e+16 is too large for a unit step")
+        assert err.endswith("use --step-policy central-derivative\n")
+
+    def test_largest_exact_unit_step_keeps_its_output(self, capsys):
+        # 2**53 - 1, the largest lambda_b whose unit step is exact
+        code, out, _ = run(
+            ["trs", "--lambda-b", "9007199254740991", "--lambda-u", "1e15", "--pair", "w-density",
+             "--target-rate-mbps", "10"],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            "point,trs,units,step_policy,note\n"
+            "9007199254740991.0,4503599627370496.0,lambda_b_per_mhz,forward-unit-step dlambda_b=1,\n"
+        )
+
     def test_degenerate_point_errors(self, capsys):
         code, _, err = run(
             ["trs", "--lambda-b", "0", "--lambda-u", "100", "--pair", "w-density",

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -653,3 +654,74 @@ class TestSharedDrops:
         finally:
             sys.setswitchinterval(interval)
         assert got == [cold[job] for job in jobs]
+
+
+def unblocked_interference(cfg, drop):
+    """A drop's interference per activity model from one full fading draw and one
+    matrix-vector product each, the fade state after the draw and the interferer
+    count; None for an empty window."""
+    net = cfg.network
+    geom, act, fade = montecarlo._drop_streams(cfg.seed, drop)
+    r, occupied = montecarlo._stations(cfg, geom, act)
+    if r.size == 0:
+        return None
+    serving = int(np.argmin(r))
+    others = np.delete(np.arange(r.size), serving)
+    p_a = active_probability(net.rho)
+    if occupied is None:
+        masks = {cfg.activity_model: act.random(others.size) < p_a}
+    else:
+        twin = montecarlo._drop_streams(cfg.seed, drop)[1].random(others.size) < p_a
+        masks = {cfg.activity_model: occupied[others], ActivityModel.INDEPENDENT_THINNING: twin}
+    h = fade.exponential(1.0, size=(cfg.n_fading_per_drop, others.size))
+    sums = {model: h @ (net.tx_power * r[others] ** (-net.alpha) * mask) for model, mask in masks.items()}
+    return sums, fade.bit_generator.state, others.size
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+class TestFadingBlocks:
+    """Drawing and reducing the fading in row blocks keeps the bits of one full draw."""
+
+    @staticmethod
+    def interferers_if_same_bits(cfg, drop):
+        """Assert that a drop's blocked and unblocked draws agree; its interferers, or None if empty."""
+        blocked = montecarlo._drop_interference(cfg, drop)
+        full = unblocked_interference(cfg, drop)
+        if full is None:
+            assert all(value is None for value in blocked.values())
+            return None
+        sums, state, interferers = full
+        assert list(blocked) == list(sums)
+        for model, interference in sums.items():
+            _, got, mean, got_state, _ = blocked[model]
+            assert got.tobytes() == interference.tobytes()
+            assert mean == float(interference.mean())
+            assert repr(got_state) == repr(state)  # Philox's state holds arrays of 2 and 4 words
+        return interferers
+
+    # 16 rows are one block, 17 one block with its lone last row, 200 twelve blocks and 8 rows
+    @pytest.mark.parametrize("n_fading", [1, 15, 16, 17, 200])
+    @pytest.mark.parametrize("model", list(ActivityModel), ids=lambda m: m.value)
+    def test_blocks_match_one_full_draw(self, model, n_fading):
+        cfg = make_cfg(n_drops=3, n_fading=n_fading, model=model)  # ~1,257 stations a drop
+        for drop in range(cfg.n_drops):
+            assert self.interferers_if_same_bits(cfg, drop) > 1000
+
+    @pytest.mark.parametrize("model", list(ActivityModel), ids=lambda m: m.value)
+    def test_lone_station_and_empty_drops(self, model):
+        # the test_sinr_branches window: 5 single-station and 5 empty drops of 16
+        cfg = make_cfg(lambda_u=30.0, n_drops=16, n_fading=17, seed=2024, window_factor=0.8, model=model)
+        counts = [self.interferers_if_same_bits(cfg, drop) for drop in range(cfg.n_drops)]
+        assert counts.count(None) == counts.count(0) == 5
+    def test_cold_drop_holds_no_full_fading_matrix(self):
+        cfg = make_cfg(n_drops=2, n_fading=200)  # ~1,257 stations a drop
+        montecarlo._drop_interference(cfg, 0)  # one-time allocations happen outside the trace
+        tracemalloc.start()
+        try:
+            montecarlo._drop_interference(cfg, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        interferers = montecarlo._stations(cfg, *montecarlo._drop_streams(cfg.seed, 1)[:2])[0].size - 1
+        assert 200 * interferers * 8 > 1.9e6  # the unblocked draw alone, 2.0 MB
+        assert peak < 0.5 * 2**20

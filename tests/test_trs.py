@@ -329,8 +329,30 @@ class TestTrsValues:
         assert v2.step_policy == "forward-unit-step dM=1"
 
     def test_unknown_policy_rejected(self):
+        # checked before any solve, whose cold spectral-efficiency integral would be wasted
+        coverage.mean_log2_sinr.cache_clear()
         with pytest.raises(ConfigError, match="unknown TRS step policy 'secant-of-doom'$"):
             trs_spectrum_density(15.0, 10.0, 1, 100.0, policy="secant-of-doom")
+        assert coverage.mean_log2_sinr.cache_info().misses == 0
+
+    @pytest.mark.parametrize("lambda_b", [2.0**53, 1e16, 2**60], ids=["2**53", "1e16", "int-2**60"])
+    def test_unit_step_beyond_exact_floats_rejected(self, lambda_b):
+        # lambda_b + 1.0 == lambda_b here: the unit step would step nowhere and read inf
+        coverage.mean_log2_sinr.cache_clear()
+        with pytest.raises(ConfigError, match=r"^lambda_b \S+ is too large for a unit step .*"
+                                              r"use --step-policy central-derivative$"):
+            trs_spectrum_density(10.0, lambda_b, 1, 1e15)
+        assert coverage.mean_log2_sinr.cache_info().misses == 0
+        v = trs_spectrum_density(10.0, lambda_b, 1, 1e15, policy="central-derivative")
+        assert math.isfinite(v.magnitude) and v.magnitude > 0.0
+
+    def test_unit_step_at_a_fractional_lambda_b(self):
+        # lambda_b + 1.0 crosses 32 and rounds, so the step is 1 + 3.6e-15: still one station
+        lambda_b = 31.17298266165653
+        assert (lambda_b + 1.0) - lambda_b != 1.0
+        v = trs_spectrum_density(15.0, lambda_b, 1, 100.0)
+        assert v.step_policy == "forward-unit-step dlambda_b=1"
+        assert math.isfinite(v.magnitude) and v.magnitude > 0.0
 
     def test_names_too_long_to_print(self):
         # repr() refuses an int of more than 4,300 digits, so each message raised ValueError
