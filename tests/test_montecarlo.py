@@ -713,6 +713,7 @@ class TestFadingBlocks:
         cfg = make_cfg(lambda_u=30.0, n_drops=16, n_fading=17, seed=2024, window_factor=0.8, model=model)
         counts = [self.interferers_if_same_bits(cfg, drop) for drop in range(cfg.n_drops)]
         assert counts.count(None) == counts.count(0) == 5
+
     def test_cold_drop_holds_no_full_fading_matrix(self):
         cfg = make_cfg(n_drops=2, n_fading=200)  # ~1,257 stations a drop
         montecarlo._drop_interference(cfg, 0)  # one-time allocations happen outside the trace
