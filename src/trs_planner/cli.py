@@ -328,6 +328,9 @@ def cmd_trs(args) -> int:
             )
     else:
         points = _parse_grid(args.at or "") or [cfg.lambda_b]
+        if args.step_policy == "unit-step":
+            for lam in points:  # every point before the first solve
+                trs._check_unit_step(lam)
         for lam in points:
             values.append(
                 trs.trs_spectrum_density(

@@ -203,9 +203,8 @@ def _solve(threshold: float, k, d: float, known, store) -> float:
         start = len(known)
         b[:start] = known
         rev[m - start :] = known[::-1]
-    kv = np.asarray(k)
     for n in range(start, m):
-        b[n] = rev[m - 1 - n] = np.dot(kv[1 : n + 1], rev[m - n :]) / d
+        b[n] = rev[m - 1 - n] = np.dot(k[1 : n + 1], rev[m - n :]) / d
     b.flags.writeable = False
     store[threshold] = b
     return float(b.sum())
@@ -234,7 +233,7 @@ def _p_outs(thresholds: list, p_a: float, antennas: int, alpha: float) -> list[f
             norm = float(known[:antennas].sum())
         else:
             k = next(tables)
-            d = k[0] + inv
+            d = float(k[0]) + inv
             if not d > 0.0:
                 raise ArithmeticError(f"outage system lost positivity: diagonal {d}")
             norm = 1.0 / d if antennas == 1 else _solve(t, k, d, known, store)

@@ -41,10 +41,17 @@ full blocks, where its terms and stop match those of the row summed alone.
 
 Coefficient tables: :func:`coefficient_table` keeps one memo per ``alpha``
 (:func:`_tables`, the four most recent exponents), holding per threshold the
-longest prefix ``k_0 .. k_{n-1}`` computed so far.  A table too short is
-extended on demand, for one threshold or for many in one :func:`_coeff_range`
-call, and stored as a new tuple in place of the old one; no lock is taken.
-:func:`coeff_k` computes its one row as a one-row job, uncached.
+longest prefix ``k_0 .. k_{n-1}`` computed so far as one read-only float64
+array, 8 bytes a coefficient.  A table too short is extended on demand, for
+one threshold or for many in one :func:`_coeff_range` call, whose rows come
+back as read-only views of one array.  A new table is its view, so the
+tables made by one call share that call's array; a grown table is the old
+prefix and the new rows joined into a new array.  Either way the new array
+replaces the old one whole, so a reader holding the old array still sees it
+unchanged, and no lock is taken.  No Python float or list is made per
+coefficient on the way.  Callers get read-only views of the stored arrays.
+:func:`coeff_k` computes its one row as a one-row job, uncached, and
+returns a Python float.
 
 Input rules: this leaf module also holds ``ConfigError`` and one check per
 input rule, so every layer up to the CLI rejects a bad value with the same
@@ -87,6 +94,9 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 _IDX1 = _IDX + 1.0
 _IDX.flags.writeable = False
 _IDX1.flags.writeable = False
+# the table of a threshold not yet in the memo
+_EMPTY = np.empty(0)
+_EMPTY.flags.writeable = False
 
 
 class ConfigError(ValueError):
@@ -224,14 +234,15 @@ def _connect(i: int, t: float, delta: float, w: float, f1: float) -> float:
     return delta / (i - delta) * (a_i * w**i * f1 / (1.0 + t) + b_i * (w * (1.0 + t)) ** delta)
 
 
-def _coeff_range(jobs, alpha: float) -> list[list[float]]:
+def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
     """k_start .. k_{stop-1} for each ``(threshold, start, stop)`` job at ``alpha``.
 
     The rows are sorted by first-block length; consecutive rows are summed
     by :func:`_sums` as one batch, padded to the longest, in chunks of at
     most ``_BATCH_CELLS`` first-block elements.  A chunk closes early when
     padding it to the next row would add more than ``_PAD_CELLS`` cells.
-    Each sum is then finished per row.
+    The connection-formula rows are then finished in place, and each job
+    gets its rows as one read-only float64 view of the summed array.
 
     The rows are kept as one flat list of the five :func:`_row` fields, not
     as an object per row: a batch holds thousands of rows, and as many live
@@ -258,15 +269,18 @@ def _coeff_range(jobs, alpha: float) -> list[list[float]]:
     sums = np.empty(len(xs))
     for m, chunk in chunks:
         sums[chunk] = _sums(columns[:, chunk], m)
-    sums = sums.tolist()
-    values, n = [], 0
+    n = 0
     for threshold, start, stop in jobs:
         w = threshold / (1.0 + threshold)
-        job = []
         for i in range(start, stop):
-            job.append(_connect(i, threshold, delta, w, sums[n]) if connected[n] else sums[n])
+            if connected[n]:
+                sums[n] = _connect(i, threshold, delta, w, float(sums[n]))
             n += 1
-        values.append(job)
+    sums.flags.writeable = False
+    values, n = [], 0
+    for _, start, stop in jobs:
+        values.append(sums[n : n + stop - start])
+        n += stop - start
     return values
 
 
@@ -324,18 +338,18 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
     _check_count(i, "coefficient order", 0, MAX_ANTENNAS - 1)
     _check_positive(threshold, "threshold")
     _check_alpha(alpha)
-    return _coeff_range([(float(threshold), int(i), int(i) + 1)], float(alpha))[0][0]
+    return float(_coeff_range([(float(threshold), int(i), int(i) + 1)], float(alpha))[0][0])
 
 
 @lru_cache(maxsize=4)
 def _tables(alpha: float) -> dict:
     """Longest coefficient table computed so far per threshold, for one alpha.
 
-    Each value is a tuple; a longer table replaces the old one whole, so a
-    concurrent reader sees one or the other and at worst repeats work, as
-    with the solutions of :mod:`trs_planner.coverage`.  A group is not
-    bounded in size: the tables of the four most recent exponents are kept
-    whole.
+    Each value is a read-only float64 array; a longer table replaces the
+    old one whole, so a concurrent reader sees one or the other and at worst
+    repeats work, as with the solutions of :mod:`trs_planner.coverage`.  A
+    group is not bounded in size: the tables of the four most recent
+    exponents are kept whole.
     """
     return {}
 
@@ -343,10 +357,11 @@ def _tables(alpha: float) -> dict:
 def coefficient_table(size: int, threshold, alpha: float):
     """The first ``size`` coefficients k_0 .. k_{size-1} at (threshold, alpha).
 
-    ``threshold`` may also be a list or tuple of thresholds, which gives a
-    list with one table per threshold.  Tables are kept per ``alpha`` (see
-    :func:`_tables`), and every table that is missing or too short is
-    extended in one :func:`_coeff_range` call.
+    Returns a read-only float64 array of length ``size``, a view of the
+    stored table.  ``threshold`` may also be a list or tuple of thresholds,
+    which gives a list with one such array per threshold.  Tables are kept
+    per ``alpha`` (see :func:`_tables`), and every table that is missing or
+    too short is extended in one :func:`_coeff_range` call.
     """
     _check_count(size, "table size", 1, MAX_ANTENNAS)
     many = isinstance(threshold, (list, tuple))
@@ -358,12 +373,15 @@ def coefficient_table(size: int, threshold, alpha: float):
     alpha = float(alpha)
     store = _tables(alpha)
     keys = [float(t) for t in thresholds]
-    tables = [store.get(t, ()) for t in keys]
+    tables = [store.get(t, _EMPTY) for t in keys]
     short = {t: table for t, table in zip(keys, tables) if len(table) < size}
     if short:
         jobs = [(t, len(table), size) for t, table in short.items()]
         for (t, table), rows in zip(short.items(), _coeff_range(jobs, alpha)):
-            short[t] = store[t] = table + tuple(rows)
+            if len(table):
+                rows = np.concatenate((table, rows))
+                rows.flags.writeable = False
+            short[t] = store[t] = rows
         tables = [short.get(t, table) for t, table in zip(keys, tables)]
     if many:
         return [table[:size] for table in tables]

@@ -30,6 +30,9 @@ RATE_REL_TOL = 1e-6
 DENSITY_REL_TOL = 1e-10
 MAX_DENSITY_RATIO = 1e4
 CENTRAL_REL_STEP = 1e-3
+# smallest W0 - W1, in ulps of W0, that a unit step of lambda_b resolves
+# (see trs_spectrum_density)
+UNIT_STEP_MIN_ULPS = 2**10
 
 
 class InfeasibleError(RuntimeError):
@@ -375,6 +378,16 @@ def trs_spectrum_antennas(
     )
 
 
+def _check_unit_step(lambda_b: float) -> None:
+    """A density a unit step can leave: positive and below 2**53, so lambda_b + 1 is exact."""
+    _check_positive(lambda_b, "lambda_b")
+    if lambda_b >= 2.0**53:
+        raise ConfigError(
+            f"lambda_b {lambda_b:g} is too large for a unit step (lambda_b + 1 rounds to an "
+            "even float from 2**53 on); use --step-policy central-derivative"
+        )
+
+
 def trs_spectrum_density(
     target_rate_mbps: float,
     lambda_b: float,
@@ -389,21 +402,32 @@ def trs_spectrum_density(
     "unit-step" differences the curve with one extra station per unit area
     (the table-matching default); "central-derivative" evaluates the
     implicit-function ratio (dR/dW)/(dR/dlambda_b) with dR/dW = R/W exact
-    and the density derivative by central difference.  A unit step needs
-    lambda_b below 2**53, where floats stop holding every integer.
+    and the density derivative by central difference.
+
+    A unit step needs lambda_b below 2**53, where floats stop holding every
+    integer, and a saving W0 - W1 above the rounding of W.  The rate rises
+    strictly with lambda_b, so W0 - W1 <= 0 at a positive W0 comes from
+    rounding alone.  W passes through the activity formula, the load share
+    and a quadrature of a few hundred nodes; at lambda_b = lambda_u from
+    1e12 to 1e15 (10 Mbps, one antenna, alpha = 4) the unit-step difference
+    strays from the saving the central derivative predicts by 60 to 140
+    ulps of W0.  A step that saves at most ``UNIT_STEP_MIN_ULPS`` (2**10)
+    ulps, about 7 times the largest of these, is rejected.  Ordinary
+    questions save far more: every unit step of the benchmark's seeded
+    queries (lambda_b up to about 8e3) saves over 1e11 ulps.
     """
     if policy not in ("unit-step", "central-derivative"):
         raise ConfigError(f"unknown TRS step policy {_shown(policy, repr)}")
     if policy == "unit-step":
-        _check_positive(lambda_b, "lambda_b")
-        if lambda_b >= 2.0**53:
-            raise ConfigError(
-                f"lambda_b {lambda_b:g} is too large for a unit step (lambda_b + 1 rounds to an "
-                "even float from 2**53 on); use --step-policy central-derivative"
-            )
+        _check_unit_step(lambda_b)
     w0 = required_spectrum(target_rate_mbps, lambda_b, antennas, lambda_u, alpha, load_model)
     if policy == "unit-step":
         w1 = required_spectrum(target_rate_mbps, lambda_b + 1.0, antennas, lambda_u, alpha, load_model)
+        if w0 > 0.0 and w0 - w1 <= UNIT_STEP_MIN_ULPS * math.ulp(w0):
+            raise ConfigError(
+                f"lambda_b {lambda_b:g} is too large for a unit step (it saves {w0 - w1:.3g} MHz of W = "
+                f"{w0:.6g} MHz, within {UNIT_STEP_MIN_ULPS} ulps of W); use --step-policy central-derivative"
+            )
         magnitude, note = _per_mhz_saved(w0, w1, "densifying saves no spectrum here")
         step = "forward-unit-step dlambda_b=1"
     else:

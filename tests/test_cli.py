@@ -352,18 +352,23 @@ class TestTrsCommand:
         assert err.startswith("error: lambda_b 1e+16 is too large for a unit step")
         assert err.endswith("use --step-policy central-derivative\n")
 
-    def test_largest_exact_unit_step_keeps_its_output(self, capsys):
-        # 2**53 - 1, the largest lambda_b whose unit step is exact
-        code, out, _ = run(
-            ["trs", "--lambda-b", "9007199254740991", "--lambda-u", "1e15", "--pair", "w-density",
+    @pytest.mark.parametrize(
+        "densities",
+        [("1e15", "1e15"), ("9007199254740991", "9007199254740991"), ("9007199254740991", "1e15")],
+        ids=["1e15", "largest-exact", "largest-exact-lambda-b"],
+    )
+    def test_unit_step_within_rounding_exit_2(self, capsys, densities):
+        # the step saves at most a few ulps of W: these printed inf with "densifying saves
+        # no spectrum here", 2**50 and 2**52 (2**53 - 1 is the largest exact unit step)
+        lambda_b, lambda_u = densities
+        code, out, err = run(
+            ["trs", "--lambda-b", lambda_b, "--lambda-u", lambda_u, "--pair", "w-density",
              "--target-rate-mbps", "10"],
             capsys,
         )
-        assert code == 0
-        assert out == (
-            "point,trs,units,step_policy,note\n"
-            "9007199254740991.0,4503599627370496.0,lambda_b_per_mhz,forward-unit-step dlambda_b=1,\n"
-        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: lambda_b {float(lambda_b):g} is too large for a unit step (it saves ")
+        assert err.endswith("within 1024 ulps of W); use --step-policy central-derivative\n")
 
     def test_degenerate_point_errors(self, capsys):
         code, _, err = run(

@@ -217,6 +217,13 @@ class TestOutage:
         }
         assert got == FROZEN_OUTAGE
 
+    def test_outage_is_a_python_float(self):
+        # the coefficient tables are float64 arrays; a numpy scalar here would
+        # print as np.float64(...) in the validate CSV
+        coverage._solutions.cache_clear()
+        for m in (1, 3, 2):  # one antenna, a cold solve, a stored prefix
+            assert type(outage_probability(2.0, 0.5, m, 4.0).p_out) is float, m
+
 
 class TestSpectralEfficiency:
     def test_rayleigh_baseline_independent_quadrature(self):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -194,7 +195,7 @@ class TestCoeffK:
 class TestCoefficientTable:
     def test_single_entry_closed_form(self):
         table = coefficient_table(1, 1.0, 4.0)
-        assert isinstance(table, tuple)
+        assert isinstance(table, np.ndarray)
         assert len(table) == 1
         assert table[0] == pytest.approx(math.pi / 4, rel=1e-12)
 
@@ -211,7 +212,18 @@ class TestCoefficientTable:
         t8 = coefficient_table(8, 2.0, 3.5)
         t3 = coefficient_table(3, 2.0, 3.5)
         assert len(t8) == 8
-        assert t8[:3] == t3
+        assert t8[:3].tolist() == t3.tolist()
+
+    def test_tables_are_read_only_float64_arrays(self, fresh_tables):
+        one = coefficient_table(3, 2.0, 3.5)
+        many = coefficient_table(3, [2.0, 7.0], 3.5)
+        assert type(many) is list and len(many) == 2
+        for table in (one, *many):
+            assert type(table) is np.ndarray and table.dtype == np.float64 and table.shape == (3,)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        assert type(coeff_k(1, 2.0, 3.5)) is float
 
     def test_size_validation(self):
         with pytest.raises(hypergeom.ConfigError):
@@ -367,10 +379,10 @@ class TestFrozenBits:
         tables = {}
         for order in ((3, 8), (8, 3)):
             hypergeom._tables.cache_clear()
-            tables[order] = [coefficient_table(n, 2.0, 3.5) for n in order]
+            tables[order] = [coefficient_table(n, 2.0, 3.5).tolist() for n in order]
         assert tables[(3, 8)] == tables[(8, 3)][::-1]
 
-    def test_stored_tables_are_tuples_and_bounded(self, fresh_tables):
+    def test_stored_tables_are_arrays_and_bounded(self, fresh_tables):
         maxsize = hypergeom._tables.cache_info().maxsize
         assert maxsize is not None
         for alpha in np.linspace(2.5, 6.0, maxsize + 3):
@@ -379,7 +391,28 @@ class TestFrozenBits:
             assert hypergeom._tables.cache_info().currsize <= maxsize
         group = hypergeom._tables(6.0)
         assert sorted(group) == [2.0, 7.0]
-        assert all(type(table) is tuple and len(table) == 5 for table in group.values())
+        assert all(
+            type(table) is np.ndarray and table.dtype == np.float64 and not table.flags.writeable
+            and len(table) == 5 for table in group.values()
+        )
+
+    def test_stored_tables_hold_eight_bytes_a_coefficient(self, fresh_tables):
+        # what the memo holds is what clearing it frees: 8 B a coefficient and
+        # about 200 B a table here, where a tuple of floats held about 32 B a
+        # coefficient
+        thresholds = [0.5, 7.0, 150.0, 2e4]
+        coefficient_table(2, [1.0], 3.0)  # first-call allocations outside the memo
+        hypergeom._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            coefficient_table(hypergeom.MAX_ANTENNAS, thresholds, 4.0)
+            held = tracemalloc.get_traced_memory()[0]
+            hypergeom._tables.cache_clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 8 * hypergeom.MAX_ANTENNAS * len(thresholds) <= held
+        assert held <= (8 * hypergeom.MAX_ANTENNAS + 1024) * len(thresholds)
 
     def test_capped_and_ten_block_rows_keep_digest(self, fresh_tables):
         tables = [table for alpha in PIN_ALPHAS for table in coefficient_table(1024, PIN_THRESHOLDS, alpha)]
@@ -465,8 +498,8 @@ class TestBatchedTables:
         coefficient_table(2, [1.0, 2.0], 4.0)
         tables = coefficient_table(4, [2.0, 3.0, 1.0, 3.0], 4.0)
         assert calls == [[(1.0, 0, 2), (2.0, 0, 2)], [(2.0, 2, 4), (3.0, 0, 4), (1.0, 2, 4)]]
-        assert tables[1] == tables[3] and all(len(table) == 4 for table in tables)
-        assert coefficient_table(4, (3.0,), 4.0) == [tables[1]]
+        assert tables[1].tolist() == tables[3].tolist() and all(len(table) == 4 for table in tables)
+        assert [table.tolist() for table in coefficient_table(4, (3.0,), 4.0)] == [tables[1].tolist()]
         assert len(calls) == 2
 
     def test_concurrent_callers_get_cold_tables(self, fresh_tables):

@@ -1,11 +1,15 @@
 """Simulator tests: determinism, estimator correctness, analytic agreement."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -726,3 +730,51 @@ class TestFadingBlocks:
         interferers = montecarlo._stations(cfg, *montecarlo._drop_streams(cfg.seed, 1)[:2])[0].size - 1
         assert 200 * interferers * 8 > 1.9e6  # the unblocked draw alone, 2.0 MB
         assert peak < 0.5 * 2**20
+
+
+# Runs in a fresh interpreter, whose OpenBLAS reads its thread count at load:
+# per window factor, the sha256 of every interference array of 6 Voronoi
+# drops (each with its thinning twin) at 197, 200 and 203 fading rows, and
+# the fewest interferers of a drop.
+BLAS_CHILD = """
+import hashlib, json
+from trs_planner import montecarlo
+from trs_planner.coverage import NetworkConfig
+
+out = {}
+for factor in (30.0, 60.0):
+    digest, fewest = hashlib.sha256(), None
+    for rows in (197, 200, 203):
+        cfg = montecarlo.McConfig(
+            NetworkConfig(1.0, 10.0), montecarlo.recommended_window(1.0, factor), 6, rows, 0,
+            montecarlo.ActivityModel.VORONOI_OCCUPANCY,
+        )
+        for drop in range(cfg.n_drops):
+            for _, interference, *_ in montecarlo._drop_interference(cfg, drop).values():
+                digest.update(interference.tobytes())
+            stations = montecarlo._stations(cfg, *montecarlo._drop_streams(0, drop)[:2])[0].size
+            fewest = stations - 1 if fewest is None else min(fewest, stations - 1)
+    out[factor] = [digest.hexdigest(), fewest]
+print(json.dumps(out))
+"""
+
+
+def test_interference_bits_do_not_depend_on_blas_threads():
+    # an unpinned OpenBLAS runs one thread per CPU, so a run's bits must not follow that count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-c", BLAS_CHILD], env=dict(env, OPENBLAS_NUM_THREADS=n),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for n in ("1", "2")
+    ]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        results.append(json.loads(out))
+    one, two = results
+    assert one == two
+    assert one["30.0"][1] > 2500 and one["60.0"][1] > 10000

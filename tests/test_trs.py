@@ -346,6 +346,21 @@ class TestTrsValues:
         v = trs_spectrum_density(10.0, lambda_b, 1, 1e15, policy="central-derivative")
         assert math.isfinite(v.magnitude) and v.magnitude > 0.0
 
+    @pytest.mark.parametrize("lambda_b, lambda_u", [(1e15, 1e15), (2.0**53 - 1, 2.0**53 - 1)],
+                             ids=["1e15", "largest-exact"])
+    def test_unit_step_within_rounding_rejected(self, lambda_b, lambda_u):
+        # W0 - W1 is a few ulps of W0 or negative: the step read inf, or 2**50 at 2**53 - 1
+        with pytest.raises(ConfigError, match=r"^lambda_b \S+ is too large for a unit step \(it saves .*"
+                                              r"within 1024 ulps of W\); use --step-policy central-derivative$"):
+            trs_spectrum_density(10.0, lambda_b, 1, lambda_u)
+        v = trs_spectrum_density(10.0, lambda_b, 1, lambda_u, policy="central-derivative")
+        assert math.isfinite(v.magnitude) and v.magnitude > 0.0
+
+    def test_unit_step_at_zero_target_saves_nothing(self):
+        # W0 = W1 = 0 exactly: no rounding, so no error
+        v = trs_spectrum_density(0.0, 10.0, 1, 100.0)
+        assert v.is_infinite and v.note == "densifying saves no spectrum here"
+
     def test_unit_step_at_a_fractional_lambda_b(self):
         # lambda_b + 1.0 crosses 32 and rounds, so the step is 1 + 3.6e-15: still one station
         lambda_b = 31.17298266165653
