@@ -8,8 +8,7 @@ series diverges for ``T > 1``, so every row is first mapped by Pfaff
 
 which, for the coefficient families used here, turns one numerator parameter
 into 1 and yields a series of non-negative terms (no cancellation).
-:func:`_row` gives the mapped series of each order, and :func:`_connect`
-finishes a connection-formula row (below).
+:func:`_row` gives the mapped series of each order and its finish (below).
 
 Near-unit-argument handling: as ``T -> inf`` the mapped argument ``w``
 approaches 1 and the series needs O(1/(1-w)) terms.  Beyond ``w > 0.99`` a
@@ -17,8 +16,19 @@ row switches to the connection formula in powers of ``1 - w`` (valid because
 ``c - a - b`` is never an integer for the coefficient families), which
 converges in a few dozen terms for any ``T``.  The connection formula loses
 accuracy for high order ``i`` when ``i * (1 - w)`` is large; in that regime
-the direct series is short relative to ``i`` and is used instead, keeping
-every row accurate to ~1e-13 relative.
+the direct series is short relative to ``i`` and is used instead.  Against
+mpmath's incomplete beta, the direct rows measured within 3.2e-13 relative.
+The connection rows measured within 2.9e-12 for ``alpha <= 8``, worst near
+``i * (1 - w) = 1`` where the formula's two terms nearly cancel (k_1022 at
+T = 1022.5, alpha = 8), and within 6.5e-12 in samples of alpha up to 1000.
+
+Finish: each row carries ``(p, q, r, b)``, and ``k_i = p * (q * f / r + b)``
+for the row's sum ``f``.  A direct row has ``p = q = r = 1`` and ``b = 0``,
+which returns ``f`` exactly.  A connection row holds the formula's
+prefactor, the factor of its series, ``1 + T`` and its second term, each a
+Python float computed by :func:`_row` in the formula's operation order;
+:func:`_coeff_range` then finishes every row with four elementwise array
+operations.
 
 Summation: :func:`_sums` is the one loop.  It sums a batch of rows, each
 with its own ``a``, ``c``, scale and argument ``x`` as columns, in 2-D
@@ -26,7 +36,12 @@ numpy blocks until each row's first window of three small terms.  Most rows
 stop after a few dozen terms, so a row's first block is sized to
 ``16 + 40/(1-x)`` terms, capped at ``_BLOCK`` (a series whose term ratio
 tends to ``x`` falls below the stop tolerance after about ``37/(1-x)``
-terms); later blocks hold ``_BLOCK`` terms.  :func:`_coeff_range` takes
+terms); later blocks hold ``_BLOCK`` terms.  No term budget is needed:
+every series a valid input reaches converges geometrically.  A direct row
+has ``1 - x > 1/i >= 1/1023`` (or ``x <= 0.99``) and a connection row
+``x <= 1/i`` (or ``x < 0.01`` at ``i = 0``), so no row runs much past
+``37 * 1023`` terms; the longest measured is k_1023 at T = 1021.5,
+alpha = 2 + 1e-12, at 36,864 terms (nine blocks).  :func:`_coeff_range` takes
 many ``(threshold, start, stop)`` jobs at one ``alpha``, so the rows of many
 thresholds share one pass: they are sorted by first-block length, summed in
 chunks padded to the longest, then given their finish.
@@ -76,7 +91,6 @@ from scipy.special import gammaln
 # Largest antenna count per station anywhere in the planner: the cost of one
 # rate grows with M^2 per quadrature node.
 MAX_ANTENNAS = 1024
-MAX_TERMS = 2_000_000
 NEAR_UNIT_W = 0.99
 _BLOCK = 4096
 _STOP_REL = 1e-16
@@ -94,24 +108,10 @@ _IDX = np.arange(_BLOCK, dtype=np.float64)
 _IDX1 = _IDX + 1.0
 _IDX.flags.writeable = False
 _IDX1.flags.writeable = False
-# the table of a threshold not yet in the memo
-_EMPTY = np.empty(0)
-_EMPTY.flags.writeable = False
 
 
 class ConfigError(ValueError):
     """A physical quantity is outside the model's domain."""
-
-
-class HypergeometricError(ArithmeticError):
-    """Series evaluation failed to converge within its iteration budget."""
-
-    def __init__(self, message, a, b, c, z):
-        super().__init__(f"{message} [a={a!r}, b={b!r}, c={c!r}, z={z!r}]")
-        self.a = a
-        self.b = b
-        self.c = c
-        self.z = z
 
 
 def _block(a, c, w, n, m, term, total):
@@ -192,25 +192,26 @@ def _sums(columns, m):
             continue
         total, comp, term, carry = total[going], comp[going], terms[going, -1], flags[going, -2:]
         n += width
-        if n >= MAX_TERMS:
-            x, a, c, _ = columns[:, 0, 0]
-            raise HypergeometricError("series did not converge within budget", a, 1.0, c, x)
-        width = min(_BLOCK, MAX_TERMS - n)
 
 
 def _row(i: int, t: float, delta: float, w: float):
-    """The series behind ``k_i`` at threshold ``t`` and ``w = t/(1+t)``.
+    """The series behind ``k_i`` at threshold ``t`` and ``w = t/(1+t)``, and its finish.
 
-    Returns ``(x, a, c, scale, connected)``: ``k_i`` is the sum
-    ``scale * 2F1(a, 1; c; x)`` (see :func:`_sums`), passed through
-    :func:`_connect` when ``connected``.
+    Returns ``(x, a, c, scale, p, q, r, b)``: the sum
+    ``f = scale * 2F1(a, 1; c; x)`` (see :func:`_sums`) gives
+    ``k_i = p * (q * f / r + b)``.  A direct row has ``p = q = r = 1`` and
+    ``b = 0``, which gives ``f`` itself; a connection row (``w > 0.99``)
+    holds the formula's prefactor, series factor, ``1 + t`` and second term.
     """
     if i == 0:
         # k0 = delta*T/(1-delta) * 2F1(1, 1-delta; 2-delta; -T); after the
         # Pfaff map this is (delta/(1-delta)) * w * 2F1(1, 1; 2-delta; w).
         if w <= NEAR_UNIT_W:
-            return w, 1.0, 2.0 - delta, delta / (1.0 - delta) * w, False
-        return 1.0 - w, 1.0, 1.0 + delta, 1.0, True
+            return w, 1.0, 2.0 - delta, delta / (1.0 - delta) * w, 1.0, 1.0, 1.0, 0.0
+        a0 = math.gamma(2.0 - delta) * math.gamma(-delta) / (math.gamma(1.0 - delta) ** 2)
+        b0 = math.gamma(2.0 - delta) * math.gamma(delta)
+        p, q, r, b = delta / (1.0 - delta), a0 * w, 1.0, b0 * (w * (1.0 + t)) ** delta
+        return 1.0 - w, 1.0, 1.0 + delta, 1.0, p, q, r, b
     # k_i = delta*T^i/(i-delta) * 2F1(i+1, i-delta; i+1-delta; -T); folding the
     # overflow-prone T^i prefactor through the Pfaff map gives
     # (delta/(i-delta)) * w^i/(1+T) * 2F1(i+1, 1; i+1-delta; w).
@@ -219,19 +220,11 @@ def _row(i: int, t: float, delta: float, w: float):
         # (k_i ~ exp(-i(1-w)) while both its terms stay O(1)); the direct
         # series needs only ~37/(1-w) <~ 37*i terms there, so prefer it.
         scale = delta / (i - delta) * w**i / (1.0 + t)
-        return w, i + 1.0, i + 1.0 - delta, scale, False
-    return 1.0 - w, i + 1.0, 2.0 + delta, 1.0, True
-
-
-def _connect(i: int, t: float, delta: float, w: float, f1: float) -> float:
-    """``k_i`` from the sum ``f1`` of its connection-formula series (``w > 0.99``)."""
-    if i == 0:
-        a0 = math.gamma(2.0 - delta) * math.gamma(-delta) / (math.gamma(1.0 - delta) ** 2)
-        b0 = math.gamma(2.0 - delta) * math.gamma(delta)
-        return delta / (1.0 - delta) * (a0 * w * f1 + b0 * (w * (1.0 + t)) ** delta)
+        return w, i + 1.0, i + 1.0 - delta, scale, 1.0, 1.0, 1.0, 0.0
     a_i = -(i - delta) / (1.0 + delta)
     b_i = math.gamma(1.0 + delta) * math.exp(float(gammaln(i + 1.0 - delta) - gammaln(i + 1.0)))
-    return delta / (i - delta) * (a_i * w**i * f1 / (1.0 + t) + b_i * (w * (1.0 + t)) ** delta)
+    p, q, r, b = delta / (i - delta), a_i * w**i, 1.0 + t, b_i * (w * (1.0 + t)) ** delta
+    return 1.0 - w, i + 1.0, 2.0 + delta, 1.0, p, q, r, b
 
 
 def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
@@ -241,10 +234,11 @@ def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
     by :func:`_sums` as one batch, padded to the longest, in chunks of at
     most ``_BATCH_CELLS`` first-block elements.  A chunk closes early when
     padding it to the next row would add more than ``_PAD_CELLS`` cells.
-    The connection-formula rows are then finished in place, and each job
-    gets its rows as one read-only float64 view of the summed array.
+    Every row is then finished by its ``(p, q, r, b)`` in four elementwise
+    operations on the summed array, and each job gets its rows as one
+    read-only float64 view of it.
 
-    The rows are kept as one flat list of the five :func:`_row` fields, not
+    The rows are kept as one flat list of the eight :func:`_row` fields, not
     as an object per row: a batch holds thousands of rows, and as many live
     objects would set off the garbage collector several times per batch.
     """
@@ -254,10 +248,9 @@ def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
         w = threshold / (1.0 + threshold)
         for i in range(start, stop):
             fields.extend(_row(i, threshold, delta, w))
-    xs, a_s, cs, scales, connected = (fields[k::5] for k in range(5))
-    heads = [_head_terms(x) for x in xs]
+    heads = [_head_terms(x) for x in fields[0::8]]
     chunks, chunk, width = [], [], 0
-    for n in sorted(range(len(xs)), key=heads.__getitem__):
+    for n in sorted(range(len(heads)), key=heads.__getitem__):
         m = heads[n]
         if chunk and ((len(chunk) + 1) * m > _BATCH_CELLS or len(chunk) * (m - width) > _PAD_CELLS):
             chunks.append((width, chunk))
@@ -265,17 +258,12 @@ def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
         chunk.append(n)
         width = m
     chunks.append((width, chunk))
-    columns = np.array([xs, a_s, cs, scales])[:, :, None]
-    sums = np.empty(len(xs))
+    columns = np.array([fields[k::8] for k in range(8)])
+    sums = np.empty(len(heads))
     for m, chunk in chunks:
-        sums[chunk] = _sums(columns[:, chunk], m)
-    n = 0
-    for threshold, start, stop in jobs:
-        w = threshold / (1.0 + threshold)
-        for i in range(start, stop):
-            if connected[n]:
-                sums[n] = _connect(i, threshold, delta, w, float(sums[n]))
-            n += 1
+        sums[chunk] = _sums(columns[:4, chunk, None], m)
+    p, q, r, b = columns[4:]
+    sums = p * (q * sums / r + b)
     sums.flags.writeable = False
     values, n = [], 0
     for _, start, stop in jobs:
@@ -373,7 +361,7 @@ def coefficient_table(size: int, threshold, alpha: float):
     alpha = float(alpha)
     store = _tables(alpha)
     keys = [float(t) for t in thresholds]
-    tables = [store.get(t, _EMPTY) for t in keys]
+    tables = [store.get(t, ()) for t in keys]
     short = {t: table for t, table in zip(keys, tables) if len(table) < size}
     if short:
         jobs = [(t, len(table), size) for t, table in short.items()]

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from trs_planner import hypergeom
 from trs_planner.hypergeom import (
-    HypergeometricError,
     coeff_k,
     coefficient_table,
 )
@@ -89,11 +88,8 @@ def beta_k(i, threshold, alpha):
     return d * t**d * mp.betainc(i - d, 1 + d, 0, t / (1 + t))
 
 
-def test_budget_exhaustion_raises(monkeypatch):
-    # k_402 at T = 400 needs about 14,800 terms, more than two full blocks
-    monkeypatch.setattr(hypergeom, "MAX_TERMS", 2 * hypergeom._BLOCK)
-    with pytest.raises(HypergeometricError):
-        coeff_k(402, 400.0, 4.0)
+# the (p, q, r, b) finish of a direct row, whose sum is k_i itself
+DIRECT_FINISH = (1.0, 1.0, 1.0, 0.0)
 
 
 class TestCoeffK:
@@ -124,14 +120,25 @@ class TestCoeffK:
     @pytest.mark.parametrize("i, threshold, alpha", [
         (102, 100.5, 2.05), (130, 101.3, 8.0), (150, 120.0, 3.0), (300, 250.0, 4.0), (402, 400.0, 4.0),
         (500, 101.5, 8.0), (600, 450.0, 2.05), (800, 700.0, 3.0), (1023, 1000.0, 4.0), (1023, 1021.5, 3.0),
+        (1023, 1021.5, 2.0 + 1e-12), (1000, 999.0, 2.0000001),
     ])
     def test_near_unit_direct_rows_match_incomplete_beta(self, i, threshold, alpha):
         # i > 1 + T past w = 0.99: the direct series of about 37 * (1 + T)
-        # terms, one full block at T ~ 100 and up to eight at T ~ 1000
+        # terms, one full block at T ~ 100 and up to nine at T ~ 1000; the
+        # last two are the longest series measured over valid inputs
         w = threshold / (1.0 + threshold)
-        assert not hypergeom._row(i, threshold, 2.0 / alpha, w)[-1]
+        assert hypergeom._row(i, threshold, 2.0 / alpha, w)[4:] == DIRECT_FINISH
         ref = beta_k(i, threshold, alpha)
         assert float(abs(coeff_k(i, threshold, alpha) - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("i, threshold", [(1022, 1022.5), (1000, 999.5)])
+    def test_connection_rows_near_switch_match_incomplete_beta(self, i, threshold):
+        # i * (1 - w) just below 1: the connection formula's two terms nearly
+        # cancel, so these rows are the least accurate for alpha <= 8
+        w = threshold / (1.0 + threshold)
+        assert hypergeom._row(i, threshold, 0.25, w)[4:] != DIRECT_FINISH
+        ref = beta_k(i, threshold, 8.0)
+        assert float(abs(coeff_k(i, threshold, 8.0) - ref) / ref) <= 5e-12
 
     def test_integral_representation_agreement(self):
         # covers the large-threshold connection path the series oracle cannot reach
