@@ -517,6 +517,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:  # OSError: an unreadable --file or unwritable --out
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except MemoryError as err:  # a count whose arrays this machine cannot hold
+        print(f"error: out of memory, a count is too large for this machine ({err})", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except (QuadratureError, ArithmeticError, ValueError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -95,9 +95,10 @@ class McConfig:
     def __post_init__(self):
         _check_positive(self.window_radius, "window_radius")
         # a drop-level standard error needs two drops; numpy sizes and ranges need ints,
-        # and sample counts no larger than numpy's largest dimension
+        # drop counts no larger than numpy's largest dimension, and fading counts no
+        # larger than the largest float64 array numpy holds
         for name, least, most in (
-            ("n_drops", 2, sys.maxsize), ("n_fading_per_drop", 1, sys.maxsize), ("seed", 0, None),
+            ("n_drops", 2, sys.maxsize), ("n_fading_per_drop", 1, sys.maxsize // 8), ("seed", 0, None),
         ):
             _check_count(getattr(self, name), name, least, most)
             object.__setattr__(self, name, int(getattr(self, name)))

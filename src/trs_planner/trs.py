@@ -16,6 +16,7 @@ for smooth-curve analysis; both are recorded on the returned value.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -124,24 +125,28 @@ def required_density(
     The rate rises monotonically with lambda_b, so the density is the root
     of rate(lambda_b) - target.  A bracket is found first: its top end
     grows fourfold from ``lambda_u`` up to ``MAX_DENSITY_RATIO * lambda_u``
-    and its bottom end shrinks fourfold.  Brent's method (Brent, 1973) then
-    narrows it to ``DENSITY_REL_TOL`` relative width, by inverse quadratic
-    or secant interpolation with a bisection safeguard, starting from the
-    rates already computed at the bracket ends; the endpoint with the
-    smaller residual is returned.  Raises InfeasibleError when no density
+    and its bottom end shrinks fourfold.  scipy's ``brentq`` (Brent, 1973)
+    then narrows it to ``DENSITY_REL_TOL`` relative width.  Its ``xtol``
+    must be positive; at the smallest normal float the relative tolerance
+    alone decides.
+    Every residual goes through one memo, keyed by density: the bracket
+    search reads ``lambda_u`` once, ``brentq``'s first two calls at the
+    bracket ends compute no new rate, and the residual at the root feeds
+    the ``RATE_REL_TOL`` check.  Raises InfeasibleError when no density
     within the bracket reaches the demand: once the bandwidth share
     saturates the rate grows only logarithmically with density, so demands
-    can sit effectively out of reach.
+    can sit effectively out of reach.  A rate error raised inside
+    ``brentq`` reaches the caller unchanged.
     """
     _check_positive(target_rate_mbps, "target rate")
 
-    def rate(lam):
-        return _rate(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model)
+    @functools.cache  # the residual memo, keyed by density
+    def residual(lam):
+        return _rate(lam, bandwidth_mhz, antennas, lambda_u, alpha, load_model) - target_rate_mbps
 
     cap = MAX_DENSITY_RATIO * lambda_u
     lo = hi = lambda_u
-    rate_hi = rate_u = rate(lambda_u)  # both ends start here
-    while rate_hi < target_rate_mbps:
+    while residual(hi) < 0.0:
         if hi >= cap:
             raise InfeasibleError(
                 f"infeasible demand: {target_rate_mbps} Mbps not reached at the "
@@ -149,58 +154,24 @@ def required_density(
                 "logarithmically once the bandwidth share saturates)"
             )
         hi = min(hi * 4.0, cap)
-        rate_hi = rate(hi)
     for _ in range(60):
-        if (rate_lo := rate_u if lo == lambda_u else rate(lo)) <= target_rate_mbps:
+        if residual(lo) <= 0.0:
             break
         lo /= 4.0
     else:
         raise InfeasibleError(f"demand met even at vanishing density (lambda_b={lo:.3g})")
 
-    # Brent-Dekker: b is the best estimate, c keeps f(c) of the other sign
-    # (the root lies between b and c), a is the previous b.
-    a, fa = lo, rate_lo - target_rate_mbps
-    b, fb = hi, rate_hi - target_rate_mbps
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 0.5 * DENSITY_REL_TOL * b
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            break
-        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
-        if interpolate:
-            s = fb / fa
-            if a == c:  # secant through a and b
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b and c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            # keep the step only if it lands well inside the bracket and is
-            # under half the step before last
-            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
-        if interpolate:
-            e, d = d, p / q
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = rate(b) - target_rate_mbps
-    if abs(fb) > RATE_REL_TOL * target_rate_mbps:
+    from scipy.optimize import brentq  # scipy.integrate, which the rates above used, loads it
+
+    root, result = brentq(
+        residual, lo, hi, xtol=sys.float_info.min, rtol=DENSITY_REL_TOL, full_output=True, disp=False
+    )
+    miss = residual(root)
+    if not result.converged or abs(miss) > RATE_REL_TOL * target_rate_mbps:
         raise ArithmeticError(
-            f"density solve landed at {fb + target_rate_mbps} Mbps against target {target_rate_mbps}"
+            f"density solve landed at {miss + target_rate_mbps} Mbps against target {target_rate_mbps}"
         )
-    return b
+    return root
 
 
 def required_antennas(
@@ -320,7 +291,7 @@ def log_grid(lo: float, hi: float, points: int = 64):
         raise ConfigError(
             f"grid bounds must satisfy 0 < lo < hi < inf, got ({_shown(lo)}, {_shown(hi)})"
         )
-    _check_count(points, "grid points", 1, sys.maxsize)  # numpy's largest dimension
+    _check_count(points, "grid points", 1, sys.maxsize // 8)  # the largest float64 array numpy holds
     return list(np.geomspace(lo, hi, points))
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,49 @@ class TestCurve:
             assert code == 2 and out == ""
             assert err.startswith("error: grid bounds must satisfy 0 < lo < hi < inf"), err
         assert not recwarn.list
+
+
+class TestHugeCounts:
+    """A count too large for an array exits 2 naming its field, never with a traceback."""
+
+    HUGE = str(2**62)  # past the largest float64 array numpy holds (sys.maxsize // 8)
+
+    def test_grid_points_past_numpy_exit_2(self, capsys):
+        code, out, err = run(
+            ["curve", "--scenario", "sparse", "--pair", "w-density", "--grid-min", "10",
+             "--grid-max", "20", "--grid-points", self.HUGE],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: grid points must be at most {sys.maxsize // 8}, got {self.HUGE}\n"
+
+    def test_fading_count_past_numpy_exit_2(self, capsys):
+        code, out, err = run(["validate", "--n-fading", self.HUGE], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: n_fading_per_drop must be at most {sys.maxsize // 8}, got {self.HUGE}\n"
+
+    # a count numpy accepts but this machine cannot hold; the allocation is
+    # stood in for, since a real multi-TiB request can succeed under overcommit
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["curve", "--scenario", "sparse", "--pair", "w-density", "--grid-points", "1099511627776"],
+             (cli.trs, "log_grid")),
+            (["validate", "--n-drops", "2", "--n-fading", "1099511627776", "--rho-values", "1",
+              "--m-values", "1", "--t-values", "1"],
+             (cli.montecarlo, "sinr_samples")),
+        ],
+        ids=["curve", "validate"],
+    )
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, argv, target):
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+        monkeypatch.setattr(*target, allocate)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory") and "8.00 TiB" in err
+        assert "Traceback" not in err
 
 
 class TestTrsCommand:

@@ -13,7 +13,7 @@ CHILD = """
 import json, sys
 
 import trs_planner, trs_planner.cli
-from trs_planner import cli, coverage, montecarlo
+from trs_planner import cli, coverage, montecarlo, trs
 
 
 def loaded():
@@ -37,6 +37,9 @@ coverage.outage_probability(1e4, 0.3, 8, 4.0)  # connection-formula rows, so gam
 seen["outage"] = loaded()
 seen["se"] = coverage.spectral_efficiency(0.5, 2, 4.0).hex()
 seen["after_se"] = loaded()
+before = set(sys.modules)
+trs.required_density(15.0, 70.0, 1, 100.0)  # its root finder comes with scipy.integrate
+seen["density_added"] = sorted(set(sys.modules) - before)
 print(json.dumps(seen))
 """
 
@@ -53,3 +56,6 @@ def test_only_an_integral_loads_scipy_integrate():
         assert seen[step] == [], step
     assert seen["se"] == "0x1.058f046f7f520p+2"  # the bits of the module-level import
     assert "scipy.integrate" in seen["after_se"]
+    # scipy.integrate loads scipy.optimize, so a density solve's brentq costs no import
+    assert "scipy.optimize" in seen["after_se"]
+    assert seen["density_added"] == []

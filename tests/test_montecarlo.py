@@ -264,17 +264,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             McConfig(network=net, window_radius=5.0, n_drops=2, n_fading_per_drop=1, seed=-1)
 
-    # numpy's largest dimension: a larger fading count failed in sinr_samples, and a
-    # larger drop count queued drops without end; only construction runs here
+    # A larger drop count than numpy's largest dimension queued drops without end.
+    # A fading count fills a float64 array: one past the largest numpy holds
+    # (2**62 among them) failed in sinr_samples.  Only construction runs here.
+    BOUNDS = {"n_drops": sys.maxsize, "n_fading_per_drop": sys.maxsize // 8}
+
     @pytest.mark.parametrize("name", ["n_drops", "n_fading_per_drop"])
-    @pytest.mark.parametrize("count", [sys.maxsize + 1, BIG], ids=["maxsize+1", "beyond-float"])
+    @pytest.mark.parametrize(
+        "count", [2**62, sys.maxsize + 1, BIG], ids=["2**62", "maxsize+1", "beyond-float"]
+    )
     def test_sample_counts_within_numpy(self, name, count):
+        most = self.BOUNDS[name]
         counts = dict(n_drops=2, n_fading_per_drop=1) | {name: count}
         net = NetworkConfig(lambda_b=10.0, lambda_u=100.0)
+        if count <= most:  # 2**62 drops are a count numpy can index
+            McConfig(network=net, window_radius=5.0, seed=0, **counts)
+            return
         with pytest.raises(ConfigError) as err:
             McConfig(network=net, window_radius=5.0, seed=0, **counts)
-        assert str(err.value) == f"{name} must be at most {sys.maxsize}, got {count}"
-        McConfig(network=net, window_radius=5.0, seed=0, **counts | {name: sys.maxsize})
+        assert str(err.value) == f"{name} must be at most {most}, got {count}"
+        McConfig(network=net, window_radius=5.0, seed=0, **counts | {name: most})
 
     def test_one_drop_rejected(self):
         # a drop-level standard error needs two drops; one drop would report it as inf

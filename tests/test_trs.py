@@ -88,6 +88,28 @@ class TestRequiredDensity:
         with pytest.raises(InfeasibleError):
             required_density(1e9, 1.0, 1, 100.0)
 
+    def test_rate_error_inside_the_root_finder_reaches_the_caller(self, monkeypatch):
+        # the demand of lambda_b = 120 brackets the root in [100, 400]; the
+        # rate fails at the first density strictly inside, which only the
+        # root finder asks for
+        held = (1, 100.0, 4.0, LoadModel.MEAN_LOAD)
+        target = trs._rate(120.0, 20.0, *held)
+        error = coverage.QuadratureError("quadrature failed inside the bracket")
+        real = trs.user_rate
+        asked = []
+
+        def failing(cfg):
+            asked.append(cfg.lambda_b)
+            if 100.0 < cfg.lambda_b < 400.0:
+                raise error
+            return real(cfg)
+
+        monkeypatch.setattr(trs, "user_rate", failing)
+        with pytest.raises(coverage.QuadratureError) as raised:
+            required_density(target, 20.0, *held)
+        assert raised.value is error
+        assert asked[:-1] == [100.0, 400.0] and 100.0 < asked[-1] < 400.0
+
 
 @pytest.fixture
 def rate_calls(monkeypatch):
@@ -269,12 +291,15 @@ class TestIndifferenceCurve:
         with pytest.raises(ConfigError, match="grid bounds"):
             log_grid(lo, hi, 3)
 
-    # numpy's largest dimension; 10**400 ended in OverflowError from numpy
-    @pytest.mark.parametrize("points", [sys.maxsize + 1, BIG], ids=["maxsize+1", "beyond-float"])
+    # the largest float64 array numpy holds: 2**62 points passed numpy's largest
+    # dimension and failed as "array is too big"; 10**400 ended in OverflowError
+    @pytest.mark.parametrize(
+        "points", [2**62, sys.maxsize + 1, BIG], ids=["2**62", "maxsize+1", "beyond-float"]
+    )
     def test_log_grid_points_within_numpy(self, points):
         with pytest.raises(ConfigError) as err:
             log_grid(1.0, 2.0, points)
-        assert str(err.value) == f"grid points must be at most {sys.maxsize}, got {points}"
+        assert str(err.value) == f"grid points must be at most {sys.maxsize // 8}, got {points}"
 
     def test_log_grid_bound_too_long_to_print(self):
         with pytest.raises(ConfigError) as err:
