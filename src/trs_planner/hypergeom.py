@@ -54,19 +54,21 @@ first stop window, if inside, is the one full blocks find.  A row whose
 window is not inside a sized first block is summed again from term 0 in
 full blocks, where its terms and stop match those of the row summed alone.
 
-Coefficient tables: :func:`coefficient_table` keeps one memo per ``alpha``
-(:func:`_tables`, the four most recent exponents), holding per threshold the
-longest prefix ``k_0 .. k_{n-1}`` computed so far as one read-only float64
-array, 8 bytes a coefficient.  A table too short is extended on demand, for
-one threshold or for many in one :func:`_coeff_range` call, whose rows come
-back as read-only views of one array.  A new table is its view, so the
-tables made by one call share that call's array; a grown table is the old
-prefix and the new rows joined into a new array.  Either way the new array
-replaces the old one whole, so a reader holding the old array still sees it
-unchanged, and no lock is taken.  No Python float or list is made per
-coefficient on the way.  Callers get read-only views of the stored arrays.
-:func:`coeff_k` computes its one row as a one-row job, uncached, and
-returns a Python float.
+Coefficient tables: :func:`coefficient_table` takes a size, an iterable of
+thresholds and ``alpha``, and returns a list with one read-only float64
+array per threshold; a bare threshold is no iterable and raises
+``TypeError``.  It keeps one memo per ``alpha`` (:func:`_tables`, the four
+most recent exponents), holding per threshold the longest prefix
+``k_0 .. k_{n-1}`` computed so far as one read-only float64 array of its
+own, 8 bytes a coefficient.  Every table missing or too short is extended
+in one :func:`_coeff_range` call, and each becomes a new array, the old
+prefix and the new rows joined by ``np.concatenate``, so no table shares
+memory with another or with the batch it came from.  The new array
+replaces the old one whole, so a reader holding the old array still sees
+it unchanged, and no lock is taken.  No Python float or list is made per
+coefficient on the way.  Callers get read-only views of the arrays the
+call found or built.  :func:`coeff_k` computes its one row as a one-row
+job, uncached, and returns a Python float.
 
 Input rules: this leaf module also holds ``ConfigError`` and one check per
 input rule, so every layer up to the CLI rejects a bad value with the same
@@ -101,13 +103,9 @@ _BATCH_CELLS = 1 << 16
 _PAD_CELLS = 1 << 10
 # the largest finite float; an int beyond it cannot be converted to one
 _FLOAT_MAX = sys.float_info.max
-
-
-# the term indices n and n + 1 of a block starting at 0, shared read-only
-_IDX = np.arange(_BLOCK, dtype=np.float64)
-_IDX1 = _IDX + 1.0
-_IDX.flags.writeable = False
-_IDX1.flags.writeable = False
+# the stored prefix of a table not yet built; np.concatenate takes an array
+# in about half the time it takes to convert ()
+_NO_ROWS = np.empty(0)
 
 
 class ConfigError(ValueError):
@@ -120,16 +118,15 @@ def _block(a, c, w, n, m, term, total):
     ``term`` is the term before the block and ``total`` the partial sum so
     far.  ``a``, ``c``, ``w``, ``term`` and ``total`` are column arrays, one
     row per series; ``cumprod`` and ``cumsum`` run sequentially along each
-    row, so a row's bits do not depend on its neighbours.  Two arrays are
-    allocated; every other step runs in place.
+    row, so a row's bits do not depend on its neighbours.  The term indices
+    ``n .. n+m-1`` are whole floats below 2**53, exact whatever ``n``.  Four
+    arrays are allocated; every other step runs in place.
     The ``(b+n)`` factor of ``2F1(a, b; c; w)`` at ``b = 1`` is the
     ``n + 1.0`` array (``1.0 + n == n + 1.0`` in IEEE arithmetic), and every
     term and partial sum is non-negative, so the stop test takes no ``abs``.
     """
-    idx, idx1 = _IDX[:m], _IDX1[:m]
-    if n:
-        idx = idx + n
-        idx1 = idx + 1.0
+    idx = np.arange(n, n + m, dtype=np.float64)
+    idx1 = idx + 1.0
     terms = a + idx
     terms *= idx1
     partials = c + idx
@@ -236,7 +233,7 @@ def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
     padding it to the next row would add more than ``_PAD_CELLS`` cells.
     Every row is then finished by its ``(p, q, r, b)`` in four elementwise
     operations on the summed array, and each job gets its rows as one
-    read-only float64 view of it.
+    float64 view of it.
 
     The rows are kept as one flat list of the eight :func:`_row` fields, not
     as an object per row: a batch holds thousands of rows, and as many live
@@ -264,7 +261,6 @@ def _coeff_range(jobs, alpha: float) -> list[np.ndarray]:
         sums[chunk] = _sums(columns[:4, chunk, None], m)
     p, q, r, b = columns[4:]
     sums = p * (q * sums / r + b)
-    sums.flags.writeable = False
     values, n = [], 0
     for _, start, stop in jobs:
         values.append(sums[n : n + stop - start])
@@ -333,44 +329,38 @@ def coeff_k(i: int, threshold: float, alpha: float) -> float:
 def _tables(alpha: float) -> dict:
     """Longest coefficient table computed so far per threshold, for one alpha.
 
-    Each value is a read-only float64 array; a longer table replaces the
-    old one whole, so a concurrent reader sees one or the other and at worst
-    repeats work, as with the solutions of :mod:`trs_planner.coverage`.  A
-    group is not bounded in size: the tables of the four most recent
-    exponents are kept whole.
+    Each value is a read-only float64 array that no other table shares; a
+    longer table replaces the old one whole, so a concurrent reader sees one
+    or the other and at worst repeats work, as with the solutions of
+    :mod:`trs_planner.coverage`.  A group is not bounded in size: the tables
+    of the four most recent exponents are kept whole.
     """
     return {}
 
 
-def coefficient_table(size: int, threshold, alpha: float):
-    """The first ``size`` coefficients k_0 .. k_{size-1} at (threshold, alpha).
+def coefficient_table(size: int, thresholds, alpha: float) -> list:
+    """The first ``size`` coefficients k_0 .. k_{size-1} at each threshold and ``alpha``.
 
-    Returns a read-only float64 array of length ``size``, a view of the
-    stored table.  ``threshold`` may also be a list or tuple of thresholds,
-    which gives a list with one such array per threshold.  Tables are kept
+    ``thresholds`` is any iterable of thresholds (a list, a tuple, a numpy
+    array, a ``range``); a bare number is not one and raises ``TypeError``.
+    Returns a list with one read-only float64 array of length ``size`` per
+    threshold, a view of the table this call found or built.  Tables are kept
     per ``alpha`` (see :func:`_tables`), and every table that is missing or
     too short is extended in one :func:`_coeff_range` call.
     """
     _check_count(size, "table size", 1, MAX_ANTENNAS)
-    many = isinstance(threshold, (list, tuple))
-    thresholds = threshold if many else (threshold,)
+    keys = []
     for t in thresholds:
         if not 0.0 < t <= _FLOAT_MAX:
             _check_positive(t, "threshold")
+        keys.append(float(t))
     _check_alpha(alpha)
     alpha = float(alpha)
     store = _tables(alpha)
-    keys = [float(t) for t in thresholds]
-    tables = [store.get(t, ()) for t in keys]
-    short = {t: table for t, table in zip(keys, tables) if len(table) < size}
-    if short:
-        jobs = [(t, len(table), size) for t, table in short.items()]
-        for (t, table), rows in zip(short.items(), _coeff_range(jobs, alpha)):
-            if len(table):
-                rows = np.concatenate((table, rows))
-                rows.flags.writeable = False
-            short[t] = store[t] = rows
-        tables = [short.get(t, table) for t, table in zip(keys, tables)]
-    if many:
-        return [table[:size] for table in tables]
-    return tables[0][:size]
+    tables = {t: store.get(t, _NO_ROWS) for t in keys}
+    jobs = [(t, len(table), size) for t, table in tables.items() if len(table) < size]
+    for (t, _, _), rows in zip(jobs, _coeff_range(jobs, alpha) if jobs else ()):
+        table = np.concatenate((tables[t], rows))
+        table.setflags(write=False)
+        tables[t] = store[t] = table
+    return [tables[t][:size] for t in keys]

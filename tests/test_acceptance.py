@@ -71,7 +71,7 @@ def test_criterion_2_outage_closed_forms():
     for m in (2, 4, 8, 16, 32):
         for t in (0.1, 1.0, 10.0, 100.0):
             for p_a in (0.1, 0.5, 1.0):
-                k = coefficient_table(m, t, 4.0)
+                k = coefficient_table(m, [t], 4.0)[0]
                 q = np.zeros((m, m))
                 for row in range(m):
                     for col in range(row):

@@ -34,13 +34,13 @@ HUGE = 10**5000
 
 def scalar_outage(threshold, p_a, alpha):
     """Single-antenna closed form: 1 - 1/(1 + p_a k0)."""
-    k0 = coefficient_table(1, threshold, alpha)[0]
+    k0 = coefficient_table(1, [threshold], alpha)[0][0]
     return 1.0 - 1.0 / (1.0 + p_a * k0)
 
 
 def dense_norm(threshold, p_a, antennas, alpha):
     """L1 induced norm of the inverse via an explicit dense matrix."""
-    k = coefficient_table(antennas, threshold, alpha)
+    k = coefficient_table(antennas, [threshold], alpha)[0]
     m = antennas
     q = np.zeros((m, m))
     for row in range(m):
@@ -555,7 +555,7 @@ class TestOneCheckPerRule:
     ENTRY_POINTS = {
         "outage_probability": lambda threshold, alpha: outage_probability(threshold, 0.5, 2, alpha),
         "coeff_k": lambda threshold, alpha: coeff_k(1, threshold, alpha),
-        "coefficient_table": lambda threshold, alpha: coefficient_table(2, threshold, alpha),
+        "coefficient_table": lambda threshold, alpha: coefficient_table(2, [threshold], alpha),
         "coefficient_table-list": lambda threshold, alpha: coefficient_table(2, [1.0, threshold], alpha),
     }
 

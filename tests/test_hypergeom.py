@@ -201,31 +201,30 @@ class TestCoeffK:
 
 class TestCoefficientTable:
     def test_single_entry_closed_form(self):
-        table = coefficient_table(1, 1.0, 4.0)
+        table = coefficient_table(1, [1.0], 4.0)[0]
         assert isinstance(table, np.ndarray)
         assert len(table) == 1
         assert table[0] == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_vanishing_threshold(self):
-        table = coefficient_table(3, 1e-12, 4.0)
+        table = coefficient_table(3, [1e-12], 4.0)[0]
         assert all(abs(v) < 1e-11 for v in table)
 
     def test_two_entries_at_t10(self):
-        table = coefficient_table(2, 10.0, 4.0)
+        table = coefficient_table(2, [10.0], 4.0)[0]
         assert table[0] == pytest.approx(K0_T10_A4, rel=1e-12)
         assert table[1] == pytest.approx(K1_T10_A4, rel=1e-12)
 
     def test_length_and_prefix_stability(self):
-        t8 = coefficient_table(8, 2.0, 3.5)
-        t3 = coefficient_table(3, 2.0, 3.5)
+        t8 = coefficient_table(8, [2.0], 3.5)[0]
+        t3 = coefficient_table(3, [2.0], 3.5)[0]
         assert len(t8) == 8
         assert t8[:3].tolist() == t3.tolist()
 
     def test_tables_are_read_only_float64_arrays(self, fresh_tables):
-        one = coefficient_table(3, 2.0, 3.5)
         many = coefficient_table(3, [2.0, 7.0], 3.5)
         assert type(many) is list and len(many) == 2
-        for table in (one, *many):
+        for table in many:
             assert type(table) is np.ndarray and table.dtype == np.float64 and table.shape == (3,)
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -234,7 +233,7 @@ class TestCoefficientTable:
 
     def test_size_validation(self):
         with pytest.raises(hypergeom.ConfigError):
-            coefficient_table(0, 1.0, 4.0)
+            coefficient_table(0, [1.0], 4.0)
 
     # 2.5, nan and inf raised TypeError from range(); BIG ran until killed; 1025 was computed
     @pytest.mark.parametrize("size, message", [
@@ -246,7 +245,7 @@ class TestCoefficientTable:
     ], ids=["fraction", "nan", "inf", "beyond-float", "cap"])
     def test_size_is_a_count(self, size, message):
         with pytest.raises(hypergeom.ConfigError) as err:
-            coefficient_table(size, 1.0, 4.0)
+            coefficient_table(size, [1.0], 4.0)
         assert str(err.value) == message
 
 
@@ -324,7 +323,7 @@ class TestFrozenBits:
     @pytest.mark.parametrize("key", sorted(FROZEN_TABLES))
     def test_table_and_scalar_paths_keep_bits(self, fresh_tables, key):
         size, bits = FROZEN_TABLES[key]
-        values = coefficient_table(size, *key)
+        values = coefficient_table(size, [key[0]], key[1])[0]
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
             assert coeff_k(i, *key).hex() == expected, i
@@ -339,7 +338,7 @@ class TestFrozenBits:
             return block(a, c, w, n, *args)
 
         monkeypatch.setattr(hypergeom, "_block", counted)
-        values = coefficient_table(size, *key)
+        values = coefficient_table(size, [key[0]], key[1])[0]
         assert max(starts) == 3 * hypergeom._BLOCK
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
@@ -362,7 +361,7 @@ class TestFrozenBits:
         # again from term 0 in full blocks; row i has a = i + 1 at w <= 0.99
         monkeypatch.setattr(hypergeom, "_head_terms", lambda x: 24)
         size, bits = FROZEN_TABLES[key]
-        values = coefficient_table(size, *key)
+        values = coefficient_table(size, [key[0]], key[1])[0]
         assert series_calls == [i + 1.0 for i in range(size)]
         for i, expected in bits.items():
             assert values[i].hex() == expected, i
@@ -371,14 +370,14 @@ class TestFrozenBits:
     def test_grown_tables_keep_bits(self, fresh_tables, key, first):
         # the extension batches k_1.. without k_0, or from k_2 on
         size, bits = FROZEN_TABLES[key]
-        coefficient_table(first, *key)
-        values = coefficient_table(size, *key)
+        coefficient_table(first, [key[0]], key[1])
+        values = coefficient_table(size, [key[0]], key[1])[0]
         assert [values[i].hex() for i in bits] == list(bits.values())
 
     @pytest.mark.parametrize("key, size", [((1e4, 4.0), 4), ((2.0, 3.5), 1)])
     def test_batched_rows_make_no_scalar_call(self, fresh_tables, series_calls, key, size):
         # k_0 joins the connection rows at w = 0.9999 and the direct rows at w = 2/3
-        values = coefficient_table(size, *key)
+        values = coefficient_table(size, [key[0]], key[1])[0]
         assert series_calls == []
         assert [v.hex() for v in values] == [FROZEN_TABLES[key][1][i] for i in range(size)]
 
@@ -386,7 +385,7 @@ class TestFrozenBits:
         tables = {}
         for order in ((3, 8), (8, 3)):
             hypergeom._tables.cache_clear()
-            tables[order] = [coefficient_table(n, 2.0, 3.5).tolist() for n in order]
+            tables[order] = [coefficient_table(n, [2.0], 3.5)[0].tolist() for n in order]
         assert tables[(3, 8)] == tables[(8, 3)][::-1]
 
     def test_stored_tables_are_arrays_and_bounded(self, fresh_tables):
@@ -420,6 +419,27 @@ class TestFrozenBits:
             tracemalloc.stop()
         assert 8 * hypergeom.MAX_ANTENNAS * len(thresholds) <= held
         assert held <= (8 * hypergeom.MAX_ANTENNAS + 1024) * len(thresholds)
+
+    def test_grown_tables_hold_only_their_own_rows(self, fresh_tables):
+        # each table owns its array, so growing one frees its old rows: as
+        # views of their batch's array, the 512-row table at T = 7 kept the
+        # old 512 rows at T = 0.5 (4,096 B) alive, and clearing freed
+        # 17,032 B; owned arrays free 12,840 B
+        coefficient_table(2, [1.0], 3.0)  # first-call allocations outside the memo
+        hypergeom._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            coefficient_table(512, [0.5, 7.0], 4.0)
+            coefficient_table(1024, [0.5], 4.0)
+            group = hypergeom._tables(4.0)
+            assert all(table.base is None for table in group.values())
+            del group
+            held = tracemalloc.get_traced_memory()[0]
+            hypergeom._tables.cache_clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 8 * (1024 + 512) <= held <= 8 * (1024 + 512) + 512 * 2
 
     def test_capped_and_ten_block_rows_keep_digest(self, fresh_tables):
         tables = [table for alpha in PIN_ALPHAS for table in coefficient_table(1024, PIN_THRESHOLDS, alpha)]
@@ -456,7 +476,7 @@ class TestFrozenBits:
         with pytest.raises(ValueError, match="finite"):
             coeff_k(0, threshold, alpha)
         with pytest.raises(ValueError, match="finite"):
-            coefficient_table(2, threshold, alpha)
+            coefficient_table(2, [threshold], alpha)
 
 
 # thresholds either side of w = 0.99 (T = 99), where k_0 and the low orders
@@ -476,7 +496,7 @@ class TestBatchedTables:
             assert len(table) == BATCH_SIZE
             assert [v.hex() for v in table] == [coeff_k(i, t, alpha).hex() for i in range(BATCH_SIZE)], t
         hypergeom._tables.cache_clear()
-        alone = [coefficient_table(BATCH_SIZE, t, alpha) for t in BATCH_THRESHOLDS]
+        alone = [coefficient_table(BATCH_SIZE, [t], alpha)[0] for t in BATCH_THRESHOLDS]
         assert [[v.hex() for v in table] for table in batched] == [
             [v.hex() for v in table] for table in alone
         ]
@@ -485,10 +505,10 @@ class TestBatchedTables:
     def test_grown_tables_match_one_at_a_time(self, fresh_tables, alpha):
         # some tables cached short, one absent, one already long enough
         coefficient_table(3, BATCH_THRESHOLDS[1:4], alpha)
-        coefficient_table(BATCH_SIZE + 5, BATCH_THRESHOLDS[-1], alpha)
+        coefficient_table(BATCH_SIZE + 5, BATCH_THRESHOLDS[-1:], alpha)
         grown = coefficient_table(BATCH_SIZE, BATCH_THRESHOLDS, alpha)
         hypergeom._tables.cache_clear()
-        alone = [coefficient_table(BATCH_SIZE, t, alpha) for t in BATCH_THRESHOLDS]
+        alone = [coefficient_table(BATCH_SIZE, [t], alpha)[0] for t in BATCH_THRESHOLDS]
         assert [[v.hex() for v in table] for table in grown] == [
             [v.hex() for v in table] for table in alone
         ]
@@ -509,6 +529,20 @@ class TestBatchedTables:
         assert [table.tolist() for table in coefficient_table(4, (3.0,), 4.0)] == [tables[1].tolist()]
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("thresholds, listed", [
+        (np.array([2.0, 7.0]), [2.0, 7.0]), (range(1, 3), [1, 2]),
+    ], ids=["numpy-array", "range"])
+    def test_any_iterable_gives_the_bits_of_its_list(self, fresh_tables, thresholds, listed):
+        # a numpy array raised numpy's "truth value ... is ambiguous" and a
+        # range a TypeError, when only a list or tuple was taken as many
+        got = [[v.hex() for v in table] for table in coefficient_table(8, thresholds, 3.5)]
+        hypergeom._tables.cache_clear()
+        assert got == [[v.hex() for v in table] for table in coefficient_table(8, listed, 3.5)]
+
+    def test_bare_threshold_is_not_iterable(self, fresh_tables):
+        with pytest.raises(TypeError, match="not iterable"):
+            coefficient_table(2, 2.0, 3.5)
+
     def test_concurrent_callers_get_cold_tables(self, fresh_tables):
         # one exponent more than the memo keeps, so groups are dropped while
         # in use, and tables are grown and replaced without a lock
@@ -518,7 +552,8 @@ class TestBatchedTables:
         random.Random(7).shuffle(jobs)
 
         def bits(job):
-            return [v.hex() for v in coefficient_table(*job)]
+            size, t, alpha = job
+            return [v.hex() for v in coefficient_table(size, [t], alpha)[0]]
 
         cold = {job: [coeff_k(i, *job[1:]).hex() for i in range(job[0])] for job in set(jobs)}
         interval = sys.getswitchinterval()

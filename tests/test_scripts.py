@@ -4,8 +4,11 @@ import re
 import runpy
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from trs_planner import trs
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -15,6 +18,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("trace_figures.py", ["--max-antennas", "0", "--out-dir", "figures_data"]),
     ("activity_gap.py", ["--rho-values", "1,abc"]),
     ("activity_gap.py", ["--n-drops", "1", "--rho-values", "10"]),
+    ("headline.py", ["--max-antennas", "0"]),
 ])
 def test_bad_input_exits_2(script, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -105,3 +109,57 @@ def test_activity_gap_prints_no_signed_zero(monkeypatch, capsys):
         " 10.00   0.06868   0.05500   0.04000  -0.01500   0.11776\n"
     )
     assert "-0.00000" not in out
+
+
+# the x3 and x4 points of scripts/headline.py: (solved value, TRS), densities
+# and TRS values to three significant figures (ROADMAP finding F12)
+HEADLINE_POINTS = {
+    ("sparse", "density", "x3"): ("lambda_b", 31.4, 0.506),
+    ("sparse", "density", "x4"): ("lambda_b", 43.3, 0.726),
+    ("sparse", "antennas", "x3"): ("M", 28, 1.90),
+    ("sparse", "antennas", "x4"): ("M", 123, 10.6),
+    ("dense", "density", "x3"): ("lambda_b", 78400, 6980),
+}
+PRINTED = 5e-3  # relative width of three significant figures
+
+
+def test_headline_sweep_to_four_times_the_demand(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["headline.py"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "headline.py"), run_name="__main__")
+    assert exit_info.value.code == 0  # the TRS rises strictly along every path
+    _, *lines = capsys.readouterr().out.splitlines()
+    rows = {}
+    for line in lines:
+        name, _, path, demand, rest = line.split(None, 4)
+        rows[name, path, demand] = rest
+    assert len(rows) == 2 * 2 * 5
+    for key, (lever, value, trs) in HEADLINE_POINTS.items():
+        solved, magnitude = rows[key].split()
+        name, number = solved.split("=")
+        assert name == lever, key
+        if lever == "M":
+            assert int(number) == value, key
+        else:
+            assert float(number) == pytest.approx(value, rel=PRINTED), key
+        assert float(magnitude) == pytest.approx(trs, rel=PRINTED), key
+    # recorded, not skipped: ROADMAP item 3 makes this point answer
+    assert rows["dense", "density", "x4"].startswith("failed: QuadratureError: ")
+    for demand in ("x3", "x4"):
+        assert rows["dense", "antennas", demand].startswith("infeasible: "), demand
+
+
+def test_headline_exits_1_when_a_path_does_not_rise(monkeypatch, capsys):
+    def falling(rate, lambda_b, antennas, lambda_u):  # a stand-in TRS that falls as M grows
+        return SimpleNamespace(magnitude=1.0 / antennas)
+
+    monkeypatch.setattr(trs, "trs_spectrum_antennas", falling)
+    monkeypatch.setattr(sys, "argv", ["headline.py"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "headline.py"), run_name="__main__")
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "the TRS does not rise strictly along the sparse antennas path",
+        "the TRS does not rise strictly along the dense antennas path",
+    ]
