@@ -8,19 +8,17 @@ meeting the scenario's target at its own density with one antenna (70.1 and
 70.2 MHz).  The demand is then scaled by 1, 1.5, 2, 3 and 4 along two paths:
 the density path solves the station density with one antenna, and the
 antenna path solves the antenna count with lambda_b held, up to
---max-antennas.  Each point prints its solved value and its unit-step TRS,
-or "infeasible: ..." where the lever cannot meet the demand, or
+MAX_ANTENNAS_SWEPT.  Each point prints its solved value and its unit-step
+TRS, or "infeasible: ..." where the lever cannot meet the demand, or
 "failed: ..." naming the error where the model gives no answer.
 
-Exits 1 when the answered TRS values along a path do not rise strictly, and
-2 on bad input, with no table printed.
+Exits 1 when the answered TRS values along a path do not rise strictly.
+``tests/test_headline.py`` asserts every point of :func:`sweep`.
 """
 
-import argparse
 import sys
 
-from trs_planner.coverage import ConfigError, QuadratureError
-from trs_planner.hypergeom import MAX_ANTENNAS, _check_count
+from trs_planner.coverage import QuadratureError
 from trs_planner.trs import (
     InfeasibleError,
     required_antennas,
@@ -34,26 +32,32 @@ LAMBDA_U = 100.0
 FACTORS = (1.0, 1.5, 2.0, 3.0, 4.0)
 # scenario: (base lambda_b, base target Mbps)
 SCENARIOS = {"sparse": (10.0, 15.0), "dense": (1000.0, 420.0)}
+MAX_ANTENNAS_SWEPT = 256  # the cap of ROADMAP finding F12; 1024 takes ~20 s a point
+LEVERS = {"density": "lambda_b", "antennas": "M"}
 
 
-def solve(path, target, w, lambda_b, max_antennas):
-    """The lever value meeting ``target`` at W = ``w``, as text, and its unit-step TRS."""
+def solve(path, target, w, lambda_b):
+    """The lever value meeting ``target`` at W = ``w``, and its unit-step TRS."""
     if path == "density":
         lam = required_density(target, w, 1, LAMBDA_U)
-        return f"lambda_b={lam:.6g}", trs_spectrum_density(target, lam, 1, LAMBDA_U).magnitude
-    m = required_antennas(target, w, lambda_b, LAMBDA_U, max_antennas=max_antennas)
-    return f"M={m}", trs_spectrum_antennas(target, lambda_b, m, LAMBDA_U).magnitude
+        return lam, trs_spectrum_density(target, lam, 1, LAMBDA_U).magnitude
+    m = required_antennas(target, w, lambda_b, LAMBDA_U, max_antennas=MAX_ANTENNAS_SWEPT)
+    return m, trs_spectrum_antennas(target, lambda_b, m, LAMBDA_U).magnitude
 
 
-def sweep(max_antennas):
-    """One row per point: (scenario, W, path, factor, solved or why not, TRS or None)."""
+def sweep():
+    """One row per point: (scenario, W, path, factor, solved, TRS).
+
+    ``solved`` is the lever value, or the "infeasible: ..." or "failed: ..."
+    text of a point with no answer, whose TRS is None.
+    """
     rows = []
     for name, (lambda_b, target) in SCENARIOS.items():
         w = required_spectrum(target, lambda_b, 1, LAMBDA_U)
-        for path in ("density", "antennas"):
+        for path in LEVERS:
             for factor in FACTORS:
                 try:
-                    solved, trs = solve(path, factor * target, w, lambda_b, max_antennas)
+                    solved, trs = solve(path, factor * target, w, lambda_b)
                 except InfeasibleError as err:
                     solved, trs = f"infeasible: {err}", None
                 except (QuadratureError, ArithmeticError) as err:
@@ -63,19 +67,15 @@ def sweep(max_antennas):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-antennas", type=int, default=256)
-    args = parser.parse_args()
-    _check_count(args.max_antennas, "max_antennas", 1, MAX_ANTENNAS)
-
-    rows = sweep(args.max_antennas)  # every point is solved before the header
+    rows = sweep()
     print(f"{'scenario':8s} {'W_mhz':>7s} {'path':8s} {'demand':>6s}  {'solved':16s} {'unit-step TRS':>13s}")
     answered = {}
     for name, w, path, factor, solved, trs in rows:
+        point = f"{name:8s} {w:7.1f} {path:8s} {f'x{factor:g}':>6s}"
         if trs is None:
-            print(f"{name:8s} {w:7.1f} {path:8s} {f'x{factor:g}':>6s}  {solved}")
+            print(f"{point}  {solved}")
         else:
-            print(f"{name:8s} {w:7.1f} {path:8s} {f'x{factor:g}':>6s}  {solved:16s} {trs:13.6g}")
+            print(f"{point}  {f'{LEVERS[path]}={solved:.6g}':16s} {trs:13.6g}")
             answered.setdefault((name, path), []).append(trs)
     falling = [key for key, values in answered.items() if any(b <= a for a, b in zip(values, values[1:]))]
     for name, path in falling:
@@ -84,8 +84,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(main())

@@ -103,9 +103,6 @@ _BATCH_CELLS = 1 << 16
 _PAD_CELLS = 1 << 10
 # the largest finite float; an int beyond it cannot be converted to one
 _FLOAT_MAX = sys.float_info.max
-# the stored prefix of a table not yet built; np.concatenate takes an array
-# in about half the time it takes to convert ()
-_NO_ROWS = np.empty(0)
 
 
 class ConfigError(ValueError):
@@ -357,7 +354,7 @@ def coefficient_table(size: int, thresholds, alpha: float) -> list:
     _check_alpha(alpha)
     alpha = float(alpha)
     store = _tables(alpha)
-    tables = {t: store.get(t, _NO_ROWS) for t in keys}
+    tables = {t: store.get(t, ()) for t in keys}
     jobs = [(t, len(table), size) for t, table in tables.items() if len(table) < size]
     for (t, _, _), rows in zip(jobs, _coeff_range(jobs, alpha) if jobs else ()):
         table = np.concatenate((tables[t], rows))

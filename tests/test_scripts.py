@@ -1,14 +1,12 @@
 """Experiment scripts: the printed tables, and bad input exits 2 with an error line, as the CLI does."""
 
+import importlib.util
 import re
 import runpy
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-
-from trs_planner import trs
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -18,7 +16,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("trace_figures.py", ["--max-antennas", "0", "--out-dir", "figures_data"]),
     ("activity_gap.py", ["--rho-values", "1,abc"]),
     ("activity_gap.py", ["--n-drops", "1", "--rho-values", "10"]),
-    ("headline.py", ["--max-antennas", "0"]),
 ])
 def test_bad_input_exits_2(script, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -111,55 +108,25 @@ def test_activity_gap_prints_no_signed_zero(monkeypatch, capsys):
     assert "-0.00000" not in out
 
 
-# the x3 and x4 points of scripts/headline.py: (solved value, TRS), densities
-# and TRS values to three significant figures (ROADMAP finding F12)
-HEADLINE_POINTS = {
-    ("sparse", "density", "x3"): ("lambda_b", 31.4, 0.506),
-    ("sparse", "density", "x4"): ("lambda_b", 43.3, 0.726),
-    ("sparse", "antennas", "x3"): ("M", 28, 1.90),
-    ("sparse", "antennas", "x4"): ("M", 123, 10.6),
-    ("dense", "density", "x3"): ("lambda_b", 78400, 6980),
-}
-PRINTED = 5e-3  # relative width of three significant figures
-
-
-def test_headline_sweep_to_four_times_the_demand(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["headline.py"])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / "headline.py"), run_name="__main__")
-    assert exit_info.value.code == 0  # the TRS rises strictly along every path
-    _, *lines = capsys.readouterr().out.splitlines()
-    rows = {}
-    for line in lines:
-        name, _, path, demand, rest = line.split(None, 4)
-        rows[name, path, demand] = rest
-    assert len(rows) == 2 * 2 * 5
-    for key, (lever, value, trs) in HEADLINE_POINTS.items():
-        solved, magnitude = rows[key].split()
-        name, number = solved.split("=")
-        assert name == lever, key
-        if lever == "M":
-            assert int(number) == value, key
-        else:
-            assert float(number) == pytest.approx(value, rel=PRINTED), key
-        assert float(magnitude) == pytest.approx(trs, rel=PRINTED), key
-    # recorded, not skipped: ROADMAP item 3 makes this point answer
-    assert rows["dense", "density", "x4"].startswith("failed: QuadratureError: ")
-    for demand in ("x3", "x4"):
-        assert rows["dense", "antennas", demand].startswith("infeasible: "), demand
-
-
 def test_headline_exits_1_when_a_path_does_not_rise(monkeypatch, capsys):
-    def falling(rate, lambda_b, antennas, lambda_u):  # a stand-in TRS that falls as M grows
-        return SimpleNamespace(magnitude=1.0 / antennas)
-
-    monkeypatch.setattr(trs, "trs_spectrum_antennas", falling)
-    monkeypatch.setattr(sys, "argv", ["headline.py"])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / "headline.py"), run_name="__main__")
-    assert exit_info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "the TRS does not rise strictly along the sparse antennas path",
-        "the TRS does not rise strictly along the dense antennas path",
+    # canned rows: tests/test_headline.py asserts the rows of the real sweep
+    spec = importlib.util.spec_from_file_location("headline", SCRIPTS / "headline.py")
+    headline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(headline)
+    monkeypatch.setattr(headline, "sweep", lambda: [
+        ("sparse", 70.1, "density", 1.0, 10.0, 0.159),
+        ("sparse", 70.1, "density", 1.5, 15.1, 0.236),
+        ("sparse", 70.1, "antennas", 1.0, 1, 0.5),
+        ("sparse", 70.1, "antennas", 1.5, 3, 0.5),
+        ("sparse", 70.1, "antennas", 2.0, "infeasible: no count up to 256", None),
+    ])
+    assert headline.main() == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "sparse      70.1 density      x1  lambda_b=10              0.159",
+        "sparse      70.1 density    x1.5  lambda_b=15.1            0.236",
+        "sparse      70.1 antennas     x1  M=1                        0.5",
+        "sparse      70.1 antennas   x1.5  M=3                        0.5",
+        "sparse      70.1 antennas     x2  infeasible: no count up to 256",
     ]
+    assert err == "the TRS does not rise strictly along the sparse antennas path\n"
